@@ -13,8 +13,9 @@ Run as a script for machine-readable numbers::
     python benchmarks/bench_fused.py --json fused-bench.json [--tiny]
 
 The JSON carries the campaign wall times, a per-stage breakdown of the
-fused pass, and the composed-module end-to-end build/sweep times that
-feed the EXPERIMENTS.md timing table.
+fused pass, and the composed-module end-to-end build/sweep times on the
+fast engine against the reference oracle that feed the EXPERIMENTS.md
+timing table.
 """
 
 import argparse
@@ -22,11 +23,15 @@ import json
 import time
 
 from repro._units import MiB
-from repro.cachesim import fused
 from repro.cachesim.composed import ComposedHierarchy
 from repro.cachesim.fastsim import fast_lru_hits_ladder
 from repro.cachesim.fused import sharded_lru_hits, simulate_hierarchy_sweep
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+from repro.cachesim.hierarchy import (
+    HierarchyConfig,
+    _lru_hits,
+    _upstream_pass,
+    simulate_hierarchy,
+)
 from repro.cachesim.indexing import lines_of_addrs
 from repro.experiments.common import RunPreset
 from repro.memtrace.synthetic import generate_segment_streams, generate_trace
@@ -95,7 +100,7 @@ def test_campaign_sweep_speedup(preset, run_once, benchmark):
 def _stage_breakdown(trace, configs):
     """Time the fused pass stage by stage (one upstream group here)."""
     upstream_s, (upstream, l3_idx) = _timed(
-        fused._upstream_pass, trace, configs[0]
+        _upstream_pass, trace, configs[0], _lru_hits
     )
     ladders = {}
     for config in configs:
@@ -122,7 +127,7 @@ def _stage_breakdown(trace, configs):
 
 
 def _composed_numbers(preset):
-    """End-to-end composed-module build and sweep, fused vs. unfused."""
+    """End-to-end composed-module build and sweep, fast vs. reference."""
     profile = get_profile("s1-leaf")
     config = HierarchyConfig.plt1_like(l3_size=40 * MiB).scaled(preset.scale)
     streams = generate_segment_streams(
@@ -141,40 +146,34 @@ def _composed_numbers(preset):
         for m in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
     ]
 
-    def build_and_sweep(fused_flag):
+    def build_and_sweep(engine):
         build_s, run = _timed(
             ComposedHierarchy,
             streams,
             profile.rates,
             config,
             threads=preset.threads,
-            engine="fast",
-            fused=fused_flag,
+            engine=engine,
         )
-        if fused_flag:
-            sweep_s, __ = _timed(run.solve_l3_sweep, capacities)
-        else:
-            sweep_s, __ = _timed(
-                lambda: [run.l3_at(c) for c in capacities]
-            )
+        sweep_s, __ = _timed(run.solve_l3_sweep, capacities)
         return build_s, sweep_s, run
 
     # Warm numpy/allocator once so the two measured builds are comparable.
-    build_and_sweep(True)
-    unfused_build_s, unfused_sweep_s, unfused = build_and_sweep(False)
-    fused_build_s, fused_sweep_s, fused_run = build_and_sweep(True)
+    build_and_sweep("fast")
+    reference_build_s, reference_sweep_s, reference = build_and_sweep("reference")
+    fast_build_s, fast_sweep_s, fast = build_and_sweep("fast")
     check = [
-        (fused_run.l3_hit_rate(c), unfused.l3_hit_rate(c)) for c in capacities
+        (fast.l3_hit_rate(c), reference.l3_hit_rate(c)) for c in capacities
     ]
-    assert all(a == b for a, b in check), "fused/unfused drift"
+    assert all(a == b for a, b in check), "fast/reference drift"
     return {
         "build_seconds": {
-            "unfused": round(unfused_build_s, 3),
-            "fused": round(fused_build_s, 3),
+            "reference": round(reference_build_s, 3),
+            "fast": round(fast_build_s, 3),
         },
         "l3_sweep_seconds": {
-            "unfused": round(unfused_sweep_s, 3),
-            "fused": round(fused_sweep_s, 3),
+            "reference": round(reference_sweep_s, 3),
+            "fast": round(fast_sweep_s, 3),
         },
     }
 

@@ -88,12 +88,9 @@ class ComposedHierarchy:
         Window-solver engine for every composed level, passed through to
         :class:`~repro.cachesim.composition.CompositeCache`
         (``"reference"`` | ``"fast"`` | ``"auto"``; all bit-identical).
-    fused:
-        Enable the fused fast path (fast engine only): miss-stream curves
-        are derived from each level's parent curve instead of rebuilt,
-        and L3 re-solves are memoized so capacity sweeps batch through
-        :meth:`solve_l3_sweep`.  Outputs are bit-identical either way;
-        ``False`` exists to benchmark the per-point construction path.
+        On the fast engine miss-stream curves are derived from each
+        level's parent curve instead of rebuilt, and L3 capacity sweeps
+        batch through :meth:`solve_l3_sweep`.
     """
 
     def __init__(
@@ -103,7 +100,6 @@ class ComposedHierarchy:
         config: HierarchyConfig,
         threads: int = 1,
         engine: str = "reference",
-        fused: bool = True,
     ) -> None:
         """Compose the L1/L2/L3 caches from the per-segment streams."""
         if threads < 1:
@@ -124,9 +120,8 @@ class ComposedHierarchy:
         self.config = config
         self.threads = threads
         self.engine = engine
-        self.fused = fused
         self.block_size = blocks.pop()
-        #: Memoized L3 re-solves keyed on capacity in lines (fused only).
+        #: Memoized L3 re-solves keyed on capacity in lines.
         self._l3_solves: dict[int, CompositeCache] = {}
 
         # ---- L1-I: code alone -------------------------------------------
@@ -137,7 +132,6 @@ class ComposedHierarchy:
             [code],
             config.l1i.geometry.capacity_lines,
             engine=engine,
-            fused=fused,
         )
 
         # ---- L1-D: data segments ----------------------------------------
@@ -153,7 +147,6 @@ class ComposedHierarchy:
             data_components,
             config.l1d.geometry.capacity_lines,
             engine=engine,
-            fused=fused,
         )
 
         # ---- L2: both L1s' misses ----------------------------------------
@@ -175,7 +168,6 @@ class ComposedHierarchy:
             l2_components,
             config.l2.geometry.capacity_lines,
             engine=engine,
-            fused=fused,
         )
 
         # ---- L3 inputs: all threads' L2 misses ----------------------------
@@ -205,7 +197,6 @@ class ComposedHierarchy:
                 self._l3_inputs,
                 config.l3.geometry.capacity_lines,
                 engine=engine,
-                fused=fused,
             )
             if config.l3 is not None
             else None
@@ -284,9 +275,9 @@ class ComposedHierarchy:
     def l3_at(self, capacity_bytes: int) -> CompositeCache:
         """Re-solve the shared L3 at another capacity (cheap, memoized).
 
-        When the hierarchy is fused, solves are memoized per capacity (in
-        lines), so sweeps batch-primed through :meth:`solve_l3_sweep` —
-        and repeated checkpoint queries — cost one lookup.
+        Solves are memoized per capacity (in lines), so sweeps
+        batch-primed through :meth:`solve_l3_sweep` — and repeated
+        checkpoint queries — cost one lookup.
 
         Units: ``capacity_bytes`` is the L3 capacity in bytes.
         """
@@ -294,11 +285,8 @@ class ComposedHierarchy:
         cached = self._l3_solves.get(lines)
         if cached is not None:
             return cached
-        cache = CompositeCache(
-            self._l3_inputs, lines, engine=self.engine, fused=self.fused
-        )
-        if self.fused:
-            self._l3_solves[lines] = cache
+        cache = CompositeCache(self._l3_inputs, lines, engine=self.engine)
+        self._l3_solves[lines] = cache
         return cache
 
     def solve_l3_sweep(
@@ -306,18 +294,17 @@ class ComposedHierarchy:
     ) -> list[CompositeCache]:
         """Solve the L3 at many capacities in one lockstep pass.
 
-        On the fast engine with fusion enabled, all not-yet-memoized
-        capacities go through a single
-        :func:`~repro.cachesim.composition.solve_windows` call — every
-        element of the batch follows the scalar bisection recurrence
-        independently, so each resulting cache is bit-identical to a
-        per-point :meth:`l3_at` solve.  On the reference engine (or with
-        ``fused=False``) this degrades to per-point solves.  Returns the
+        On the fast engine all not-yet-memoized capacities go through a
+        single :func:`~repro.cachesim.composition.solve_windows` call —
+        every element of the batch follows the scalar bisection
+        recurrence independently, so each resulting cache is
+        bit-identical to a per-point :meth:`l3_at` solve.  On the
+        reference engine this degrades to per-point solves.  Returns the
         caches in request order.
 
         Units: ``capacities_bytes`` are L3 capacities in bytes.
         """
-        if self.fused and fastsim.resolve_engine(self.engine) == "fast":
+        if fastsim.resolve_engine(self.engine) == "fast":
             seen: dict[int, None] = {}
             for capacity in capacities_bytes:
                 seen.setdefault(max(1, int(capacity) // self.block_size))
@@ -330,7 +317,6 @@ class ComposedHierarchy:
                         lines,
                         engine=self.engine,
                         window=float(window),
-                        fused=True,
                     )
         return [self.l3_at(int(c)) for c in capacities_bytes]
 

@@ -148,11 +148,10 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
     come from :func:`solve_windows` over the same components, which makes
     it bit-identical to what the in-constructor solve would produce.
 
-    ``fused`` (fast engine only) lets :meth:`miss_component` derive the
-    miss stream's curve from the parent curve via
+    On the fast engine :meth:`miss_component` derives the miss stream's
+    curve from the parent curve via
     :meth:`~repro.cachesim.misscurve.MissRatioCurve.filtered` instead of
-    rebuilding it — same numbers, a fraction of the cost.  Pass ``False``
-    to benchmark the unfused construction path.
+    rebuilding it — same numbers, a fraction of the cost.
     """
 
     def __init__(
@@ -162,7 +161,6 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
         engine: str = "reference",
         *,
         window: float | None = None,
-        fused: bool = True,
     ) -> None:
         from repro.cachesim import fastsim
 
@@ -177,7 +175,6 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
         self.capacity_lines = capacity_lines
         self.engine = engine
         self._fast = fastsim.resolve_engine(engine) == "fast"
-        self._fused = fused
         if window is not None:
             self._window = float(window)
         elif self._fast:
@@ -258,11 +255,7 @@ ComposedHierarchy.solve_l3_sweep` solves a whole capacity ladder in one
             return None
         miss_fraction = len(miss_lines) / len(component.lines)
         assert component.curve is not None  # established in __post_init__
-        curve = (
-            component.curve.filtered(miss_mask)
-            if self._fast and self._fused
-            else None
-        )
+        curve = component.curve.filtered(miss_mask) if self._fast else None
         return StreamComponent(
             name=name,
             lines=miss_lines,

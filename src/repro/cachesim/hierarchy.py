@@ -11,27 +11,32 @@ Engines:
   simulation using :class:`~repro.cachesim.cache.SetAssociativeCache`, with
   optional inclusive back-invalidation and optional per-level prefetchers.
 * ``engine="fast"`` — the same simulation, level by level through the
-  vectorized LRU kernels of :mod:`repro.cachesim.fastsim`.  Exact and
-  bit-identical to ``"exact"`` whenever inclusion and prefetchers are off
-  (per-level statistics are order-independent sums, so replaying each
-  level's filtered stream as a batch loses nothing); an explicit ``"fast"``
-  request with inclusion or prefetchers raises, ``"auto"`` falls back to
-  the exact loop.
+  vectorized LRU kernels of :mod:`repro.cachesim.fastsim`: a one-point
+  campaign of :func:`repro.cachesim.fused.simulate_hierarchy_sweep`.
+  Exact and bit-identical to ``"exact"`` whenever inclusion and
+  prefetchers are off (per-level statistics are order-independent sums,
+  so replaying each level's filtered stream as a batch loses nothing); an
+  explicit ``"fast"`` request with inclusion or prefetchers raises,
+  ``"auto"`` falls back to the exact loop.
 * ``engine="analytic"`` — vectorized fully-associative-LRU approximation via
   :class:`~repro.cachesim.misscurve.MissRatioCurve`, justified by the paper's
   Figure 7a (conflict misses beyond L1 under 1%).  Returns an
   :class:`AnalyticHierarchyResult` that keeps the post-L2 stream and its
   miss-ratio curve, so L3 capacity sweeps and L4 studies reuse the same pass.
+  Inclusion and prefetchers raise.
 
-For *sweeps* over many configurations of the same trace, prefer
-:func:`repro.cachesim.fused.simulate_hierarchy_sweep`: it shares the
-upstream L1/L2 replay across every point with the same upstream geometry
+Both vectorized engines share one upstream L1/L2 filter loop
+(``_upstream_pass``) and differ only in the per-level hit kernel.  For
+*sweeps* over many configurations of the same trace, call
+:func:`repro.cachesim.fused.simulate_hierarchy_sweep` directly: it shares
+the upstream replay across every point with the same upstream geometry
 and derives whole associativity ladders from one L3 pass, bit-identical
 to calling :func:`simulate_hierarchy` per point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -254,13 +259,20 @@ def simulate_hierarchy(
             raise ConfigurationError(
                 "prefetchers are only supported by the exact engine"
             )
+        if config.inclusive:
+            raise ConfigurationError(
+                "inclusive hierarchies are only supported by the exact engine"
+            )
         return _simulate_analytic(trace, config)
     if engine in ("fast", "auto"):
         resolved = fastsim.resolve_engine(
             engine, fast_supported=not config.inclusive and not prefetchers
         )
         if resolved == "fast":
-            return _simulate_fast(trace, config)
+            # Deferred: the fused module builds on this one.
+            from repro.cachesim.fused import simulate_hierarchy_sweep
+
+            return simulate_hierarchy_sweep(trace, [config], engine="fast")[0]
         return _simulate_exact(trace, config, prefetchers or {})
     raise ConfigurationError(f"unknown engine {engine!r}")
 
@@ -347,40 +359,46 @@ def _simulate_exact(
 
 
 # ----------------------------------------------------------------------
-# Fast engine (vectorized exact)
+# Vectorized engines: one upstream L1/L2 filter loop
 # ----------------------------------------------------------------------
 
+def _lru_hits(lines: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
+    """Exact set-associative LRU hit mask (the fast engine)."""
+    return fast_lru_hits(lines, geometry.num_sets, geometry.effective_ways)
 
-def _fast_level_pass(
+
+def _analytic_hits(lines: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
+    """Fully-associative LRU hit mask at the level's capacity (analytic)."""
+    return MissRatioCurve(lines).hit_mask(geometry.capacity_lines)
+
+
+def _upstream_pass(
     trace: Trace,
-    indices: np.ndarray,
-    geometry: CacheGeometry,
-    stats: LevelStats,
-) -> np.ndarray:
-    """Run one level through the vectorized LRU kernel; return miss indices."""
-    lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
-    hits = fast_lru_hits(lines, geometry.num_sets, geometry.effective_ways)
-    stats.record_arrays(trace.segment[indices], trace.kind[indices], hits)
-    return indices[~hits]
-
-
-def _simulate_fast(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
-    """Exact hierarchy simulation, one vectorized batch per cache level.
+    config: HierarchyConfig,
+    level_hits: Callable[[np.ndarray, CacheGeometry], np.ndarray],
+) -> tuple[dict[str, LevelStats], np.ndarray]:
+    """Replay the trace through L1-I/L1-D/L2 once; return stats + L3 input.
 
     Each private cache sees exactly the subsequence of accesses the exact
-    loop would feed it (its thread's stream filtered by the level above),
-    and the shared L3 sees the program-order merge of every thread's L2
-    misses, so each level's hit mask — and therefore every LevelStats
-    count, which is an order-independent sum — matches ``_simulate_exact``
-    exactly.  Only valid without inclusion and prefetchers (the caller
-    guarantees this via :func:`repro.cachesim.fastsim.resolve_engine`).
+    loop would feed it (its thread's stream filtered by the level above —
+    the warm-state handoff), run as one batch through the per-level hit
+    kernel ``level_hits(lines, geometry) -> hit mask``; the returned
+    indices are the program-order merge of every thread's L2 misses.
+    With the LRU kernel each level's hit mask — and therefore every
+    LevelStats count, an order-independent sum — matches
+    ``_simulate_exact`` whenever inclusion and prefetchers are off.
     """
-    stats = {
-        name: LevelStats(name=name)
-        for name in ("L1I", "L1D", "L2") + (("L3",) if config.l3 else ())
-    }
-    is_instr = trace.kind == AccessKind.INSTR
+    stats = {name: LevelStats(name=name) for name in ("L1I", "L1D", "L2")}
 
+    def level_pass(
+        indices: np.ndarray, geometry: CacheGeometry, name: str
+    ) -> np.ndarray:
+        lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
+        hits = level_hits(lines, geometry)
+        stats[name].record_arrays(trace.segment[indices], trace.kind[indices], hits)
+        return indices[~hits]
+
+    is_instr = trace.kind == AccessKind.INSTR
     l2_parts: list[np.ndarray] = []
     for t in trace.thread_ids():
         of_thread = trace.thread == np.uint16(t)
@@ -388,91 +406,34 @@ def _simulate_fast(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
         data_idx = np.flatnonzero(of_thread & ~is_instr)
         misses: list[np.ndarray] = []
         if len(instr_idx):
-            misses.append(
-                _fast_level_pass(trace, instr_idx, config.l1i.geometry, stats["L1I"])
-            )
+            misses.append(level_pass(instr_idx, config.l1i.geometry, "L1I"))
         if len(data_idx):
-            misses.append(
-                _fast_level_pass(trace, data_idx, config.l1d.geometry, stats["L1D"])
-            )
+            misses.append(level_pass(data_idx, config.l1d.geometry, "L1D"))
         if not misses:
             continue
         l2_in = np.sort(np.concatenate(misses))
         if len(l2_in):
-            l2_parts.append(
-                _fast_level_pass(trace, l2_in, config.l2.geometry, stats["L2"])
-            )
-
-    if config.l3 is not None and l2_parts:
-        l3_idx = np.sort(np.concatenate(l2_parts))
-        if len(l3_idx):
-            _fast_level_pass(trace, l3_idx, config.l3.geometry, stats["L3"])
-
-    return HierarchyResult(levels=stats, instruction_count=trace.instruction_count)
-
-
-# ----------------------------------------------------------------------
-# Analytic engine
-# ----------------------------------------------------------------------
-
-
-def _level_pass(
-    trace: Trace,
-    indices: np.ndarray,
-    geometry: CacheGeometry,
-    stats: LevelStats,
-) -> np.ndarray:
-    """Run one cache level analytically; return the miss indices."""
-    lines = lines_of_addrs(trace.addr[indices], geometry.block_size)
-    curve = MissRatioCurve(lines)
-    hits = curve.hit_mask(geometry.capacity_lines)
-    stats.record_arrays(trace.segment[indices], trace.kind[indices], hits)
-    return indices[~hits]
-
-
-def _simulate_analytic(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
-    stats = {
-        name: LevelStats(name=name)
-        for name in ("L1I", "L1D", "L2") + (("L3",) if config.l3 else ())
-    }
-    is_instr = trace.kind == AccessKind.INSTR
-
-    l2_parts: list[np.ndarray] = []
-    for t in trace.thread_ids():
-        of_thread = trace.thread == np.uint16(t)
-        instr_idx = np.flatnonzero(of_thread & is_instr)
-        data_idx = np.flatnonzero(of_thread & ~is_instr)
-        misses: list[np.ndarray] = []
-        if len(instr_idx):
-            misses.append(
-                _level_pass(trace, instr_idx, config.l1i.geometry, stats["L1I"])
-            )
-        if len(data_idx):
-            misses.append(
-                _level_pass(trace, data_idx, config.l1d.geometry, stats["L1D"])
-            )
-        if not misses:
-            continue
-        l2_in = np.sort(np.concatenate(misses))
-        if len(l2_in):
-            l2_parts.append(
-                _level_pass(trace, l2_in, config.l2.geometry, stats["L2"])
-            )
-
+            l2_parts.append(level_pass(l2_in, config.l2.geometry, "L2"))
     l3_idx = (
         np.sort(np.concatenate(l2_parts)) if l2_parts else np.empty(0, np.int64)
     )
+    return stats, l3_idx
+
+
+def _simulate_analytic(trace: Trace, config: HierarchyConfig) -> HierarchyResult:
+    stats, l3_idx = _upstream_pass(trace, config, _analytic_hits)
     l3_curve = None
     l3_block = 64
-    if config.l3 is not None and len(l3_idx):
-        geo = config.l3.geometry
-        l3_block = geo.block_size
-        lines = lines_of_addrs(trace.addr[l3_idx], geo.block_size)
-        l3_curve = MissRatioCurve(lines)
-        hits = l3_curve.hit_mask(geo.capacity_lines)
-        stats["L3"].record_arrays(
-            trace.segment[l3_idx], trace.kind[l3_idx], hits
-        )
+    if config.l3 is not None:
+        stats["L3"] = LevelStats(name="L3")
+        if len(l3_idx):
+            geo = config.l3.geometry
+            l3_block = geo.block_size
+            l3_curve = MissRatioCurve(lines_of_addrs(trace.addr[l3_idx], l3_block))
+            hits = l3_curve.hit_mask(geo.capacity_lines)
+            stats["L3"].record_arrays(
+                trace.segment[l3_idx], trace.kind[l3_idx], hits
+            )
 
     return AnalyticHierarchyResult(
         levels=stats,

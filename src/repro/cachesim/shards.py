@@ -546,7 +546,7 @@ def shards_hit_rates(
     The offline convenience mirror of
     :func:`repro.cachesim.mattson.hit_rate_for_capacities` — same
     signature shape, estimated instead of exact — used by the accuracy
-    gates and the ``adaptive`` experiment's estimator table.
+    gates in ``tests/cachesim/test_shards.py``.
     ``replicas > 1`` averages that many hash-replicated estimators
     (:class:`ShardsEnsemble`).
     """

@@ -31,8 +31,6 @@ class TlbConfig:
     page_size: int = 4 * KiB
     l1_entries: int = 64
     stlb_entries: int = 1024
-    #: Page-walk latency charged per STLB miss.
-    walk_ns: float = 30.0
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.page_size):
@@ -82,11 +80,6 @@ class TlbResult:
         if self.instruction_count <= 0:
             raise ConfigurationError("instruction_count must be positive")
         return self.stlb_misses / (self.instruction_count / 1000.0)
-
-    @property
-    def walk_ns_per_instruction(self) -> float:
-        """Average page-walk time charged to each instruction."""
-        return self.stlb_mpki / 1000.0 * self.config.walk_ns
 
 
 def simulate_tlb(
@@ -155,19 +148,3 @@ def simulate_tlb(
         stlb_misses=stlb_misses,
         instruction_count=trace.instruction_count,
     )
-
-
-def huge_page_speedup(
-    small: TlbResult, huge: TlbResult, baseline_ns_per_instruction: float
-) -> float:
-    """Throughput ratio huge/small given a baseline time-per-instruction.
-
-    Page-walk time is added serially to each configuration's
-    time-per-instruction — consistent with the paper's finding that search
-    has little memory-level parallelism to hide latency behind (§III-D).
-    """
-    if baseline_ns_per_instruction <= 0:
-        raise ConfigurationError("baseline_ns_per_instruction must be positive")
-    time_small = baseline_ns_per_instruction + small.walk_ns_per_instruction
-    time_huge = baseline_ns_per_instruction + huge.walk_ns_per_instruction
-    return time_small / time_huge

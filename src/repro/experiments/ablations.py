@@ -163,7 +163,9 @@ def composition_vs_flat_rows(result: ExperimentResult, preset: RunPreset) -> Non
         },
         seed=preset.seed,
     )
-    composed = ComposedHierarchy(streams, rates, hierarchy, threads=1)
+    composed = ComposedHierarchy(
+        streams, rates, hierarchy, threads=1, engine=preset.engine
+    )
     for segment in (Segment.CODE, Segment.HEAP, Segment.SHARD):
         result.add(
             series="composition-vs-flat",

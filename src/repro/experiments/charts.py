@@ -13,36 +13,7 @@ import math
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentResult
 
-_BAR = "▏▎▍▌▋▊▉█"
 _DOTS = "·"
-
-
-def bar_chart(
-    labels: list[str],
-    values: list[float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart; negative values render leftward markers."""
-    if len(labels) != len(values):
-        raise ConfigurationError("labels and values must align")
-    if not values:
-        return "(no data)"
-    label_width = max(len(str(l)) for l in labels)
-    peak = max(abs(v) for v in values) or 1.0
-    lines = []
-    for label, value in zip(labels, values):
-        filled = abs(value) / peak * width
-        whole = int(filled)
-        frac = filled - whole
-        bar = "█" * whole
-        if frac > 1 / 16:
-            bar += _BAR[min(7, int(frac * 8))]
-        sign = "-" if value < 0 else ""
-        lines.append(
-            f"{str(label):>{label_width}} |{sign}{bar} {value:g}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def line_chart(

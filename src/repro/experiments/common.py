@@ -76,11 +76,6 @@ class RunPreset:
     #: (``"reference" | "fast" | "auto"``); every engine is bit-identical,
     #: so this only trades wall time.
     engine: str = "auto"
-    #: Campaign-level fusion: share one trace replay across a sweep's
-    #: points (one-pass Mattson ladders, memoized L3 window solves,
-    #: batched ``solve_l3_sweep``).  Bit-identical to per-point runs —
-    #: see docs/PERFORMANCE.md — so disabling it only costs wall time.
-    fused: bool = True
     #: Per-preset composed-run memo; excluded from equality/hash/repr and
     #: rebuilt fresh by ``dataclasses.replace`` and unpickling, so caches
     #: never alias across campaigns or processes.
@@ -291,7 +286,6 @@ def composed_run(
         config,
         threads=threads,
         engine=preset.engine,
-        fused=preset.fused,
     )
     cached_runs[key] = run
     return run

@@ -57,8 +57,8 @@ def split_l2_rows(result: ExperimentResult, preset: RunPreset) -> None:
         )
         if c is not None
     ]
-    split_i_cache = CompositeCache([code_in], half_lines)
-    split_d_cache = CompositeCache(data_in, half_lines)
+    split_i_cache = CompositeCache([code_in], half_lines, engine=preset.engine)
+    split_d_cache = CompositeCache(data_in, half_lines, engine=preset.engine)
     split_i = split_i_cache.mpki("code")
     split_d = sum(split_d_cache.mpki(c.name) for c in data_in)
 
@@ -124,7 +124,7 @@ def bigger_l2_rows(result: ExperimentResult, preset: RunPreset) -> None:
         )
         if c is not None
     ]
-    big = CompositeCache(inputs, double_lines)
+    big = CompositeCache(inputs, double_lines, engine=preset.engine)
     big_l2i = big.mpki("code")
     big_ipc = ipc(big_l2i, max(0.0, base_l2d * 0.8), l1i_extra_penalty=0.5)
 

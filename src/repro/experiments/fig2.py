@@ -77,7 +77,9 @@ def _stlb_walks_per_ki(run, page_bytes: int, stlb_entries: int) -> float:
     ):
         pages = source.lines >> shift
         components.append(StreamComponent(name, pages, rate=source.rate))
-    stlb = CompositeCache(components, capacity_lines=stlb_entries)
+    stlb = CompositeCache(
+        components, capacity_lines=stlb_entries, engine=run.engine
+    )
     return sum(stlb.mpki(c.name) for c in components)
 
 

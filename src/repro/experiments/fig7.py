@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.fused import simulate_hierarchy_sweep
-from repro.cachesim.hierarchy import HierarchyConfig, simulate_hierarchy
+from repro.cachesim.hierarchy import HierarchyConfig
 from repro.cachesim.missclass import classify_misses
 from repro.experiments.common import ExperimentResult, RunPreset
 from repro.memtrace.synthetic import generate_trace
@@ -30,8 +30,8 @@ _BLOCK_SIZES = (32, 64, 128, 256, 512, 1024)  # repro: noqa RPR001 -- byte sweep
 def _trace(preset: RunPreset, instructions: int):
     """Reduced S1-leaf trace shared by the panels.
 
-    Panels (a) and (b) replay the same 60k-instruction trace; with
-    campaign fusion on it is generated once and memoized on the preset's
+    Panels (a) and (b) replay the same 60k-instruction trace; it is
+    generated once and memoized on the preset's
     :class:`~repro.experiments.common.RunCache` (same determinism contract
     as the composed-run memo: the trace is a pure function of the key).
     """
@@ -43,8 +43,7 @@ def _trace(preset: RunPreset, instructions: int):
     trace = generate_trace(
         profile.memory.scaled(preset.scale), instructions, seed=preset.seed, threads=2
     )
-    if preset.fused:
-        preset.run_cache.traces[key] = trace
+    preset.run_cache.traces[key] = trace
     return trace
 
 
@@ -58,15 +57,11 @@ def associativity_rows(result: ExperimentResult, preset: RunPreset) -> None:
         l2=_fully(config.l2),
         l3=_fully(config.l3),
     )
-    if preset.fused:
-        # One fused sweep covers both points (bit-identical to the two
-        # per-point replays below; see docs/PERFORMANCE.md).
-        base, ideal = simulate_hierarchy_sweep(
-            trace, [config, full], engine=preset.engine
-        )
-    else:
-        base = simulate_hierarchy(trace, config, engine=preset.engine)
-        ideal = simulate_hierarchy(trace, full, engine=preset.engine)
+    # One fused sweep covers both points (bit-identical to two per-point
+    # replays; see docs/PERFORMANCE.md).
+    base, ideal = simulate_hierarchy_sweep(
+        trace, [config, full], engine=preset.engine
+    )
 
     for level in ("L1I", "L1D", "L2", "L3"):
         base_misses = base.level(level).total_misses

@@ -117,27 +117,6 @@ def select_modules(only: list[str] | None = None) -> list[ModuleType]:
     return [module for module in ALL_MODULES if module.EXPERIMENT_ID in wanted]
 
 
-def run_all(
-    preset: RunPreset | None = None, only: list[str] | None = None
-) -> list[ExperimentResult]:
-    """Run the selected experiments (all by default), serially.
-
-    Every returned result carries a metrics snapshot: the experiment's
-    own when it attached one, else a minimal run-shape fallback.
-    Unknown ids in ``only`` raise :class:`ConfigurationError` (they used
-    to be silently dropped, returning a partial list).  For multi-process
-    campaigns and trace caching see :mod:`repro.experiments.parallel`.
-    """
-    preset = preset or RunPreset.quick()
-    results = []
-    for module in select_modules(only):
-        result = module.run(preset)
-        if result.metrics is None:
-            _fallback_metrics(result, preset)
-        results.append(result)
-    return results
-
-
 def write_metrics(results: list[ExperimentResult], path: str) -> None:
     """Serialize every result's metrics snapshot to one JSON document.
 

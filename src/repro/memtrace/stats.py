@@ -126,19 +126,3 @@ def record_trace_metrics(
         help="Accesses in the latest assembled leaf trace.",
         unit="accesses",
     ).set(len(trace))
-
-
-def working_set_scaling(
-    traces_by_threads: dict[int, Trace],
-    segment: Segment,
-    block_size: int = 64,
-) -> dict[int, int]:
-    """Working-set bytes of one segment as the thread count scales.
-
-    ``traces_by_threads`` maps thread count -> interleaved trace; this is the
-    data series of the paper's Figure 5.
-    """
-    return {
-        n: working_set_bytes(trace.only_segment(segment), block_size)
-        for n, trace in sorted(traces_by_threads.items())
-    }

@@ -31,7 +31,6 @@ from repro.cachesim.fastsim import (
 from repro.cachesim.mattson import hit_rate_for_capacities, stack_distances
 from repro.cachesim.missclass import classify_misses
 from repro.cachesim.misscurve import MissRatioCurve
-from repro.cachesim.setsample import sampled_hit_rate
 from repro.errors import ConfigurationError
 
 
@@ -147,16 +146,6 @@ class TestRandomizedDifferential:
             lines, geometry, engine="reference"
         ) == classify_misses(lines, geometry, engine="fast")
 
-    @given(geometries(), line_streams, st.integers(0, 5))
-    def test_setsample_engines_agree(self, geometry, lines, seed):
-        a = sampled_hit_rate(
-            lines, geometry, sample_fraction=0.5, seed=seed, engine="reference"
-        )
-        b = sampled_hit_rate(
-            lines, geometry, sample_fraction=0.5, seed=seed, engine="fast"
-        )
-        assert a == b
-
     @given(line_streams)
     def test_mattson_capacity_rates_engines_agree(self, lines):
         capacities = [1, 2, 3, 8, 31, 400]
@@ -240,7 +229,7 @@ class TestAdversarialTraces:
         )
 
     def test_explicit_set_indices_variant(self):
-        """The setsample entry point: sets supplied by the caller."""
+        """Sets supplied by the caller, as the set-sharded replay does."""
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 400, 2000).astype(np.int64)
         num_sets, ways = 13, 3

@@ -1,5 +1,7 @@
 """Tests for the multi-level hierarchy driver (exact and analytic)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,12 @@ class TestAnalyticEngine:
             simulate_hierarchy(
                 trace, config, engine="analytic", prefetchers={"L2": StreamPrefetcher()}
             )
+
+    def test_inclusive_rejected(self, trace, config):
+        """Regression: inclusion was silently ignored (non-inclusive numbers)."""
+        inclusive = dataclasses.replace(config.scaled(1 / 64), inclusive=True)
+        with pytest.raises(ConfigurationError, match="inclusive"):
+            simulate_hierarchy(trace, inclusive, engine="analytic")
 
     def test_unknown_engine_rejected(self, trace, config):
         with pytest.raises(ConfigurationError):

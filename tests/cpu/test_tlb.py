@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro._units import KiB, MiB
-from repro.cpu.tlb import TlbConfig, TlbResult, huge_page_speedup, simulate_tlb
+from repro.cpu.tlb import TlbConfig, simulate_tlb
 from repro.errors import ConfigurationError
 from repro.memtrace.trace import AccessKind, Segment, Trace
 
@@ -65,23 +65,3 @@ class TestSimulateTlb:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_tlb(Trace.empty(), TlbConfig())
-
-
-class TestHugePageSpeedup:
-    def test_speedup_positive_when_walks_drop(self):
-        config = TlbConfig()
-        small = TlbResult(config, 1000, 500, 400, instruction_count=10_000)
-        huge = TlbResult(config, 1000, 50, 10, instruction_count=10_000)
-        speedup = huge_page_speedup(small, huge, baseline_ns_per_instruction=0.4)
-        assert speedup > 1.0
-
-    def test_no_walks_no_speedup(self):
-        config = TlbConfig()
-        result = TlbResult(config, 1000, 0, 0, instruction_count=10_000)
-        assert huge_page_speedup(result, result, 0.4) == pytest.approx(1.0)
-
-    def test_rejects_bad_baseline(self):
-        config = TlbConfig()
-        result = TlbResult(config, 1000, 0, 0, instruction_count=10_000)
-        with pytest.raises(ConfigurationError):
-            huge_page_speedup(result, result, 0.0)

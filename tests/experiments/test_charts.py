@@ -3,34 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.charts import bar_chart, line_chart, render_experiment_charts
+from repro.experiments.charts import line_chart, render_experiment_charts
 from repro.experiments.common import ExperimentResult
-
-
-class TestBarChart:
-    def test_renders_all_rows(self):
-        text = bar_chart(["a", "b"], [1.0, 2.0])
-        assert text.count("\n") == 1
-        assert "a" in text and "b" in text
-
-    def test_longest_bar_is_peak(self):
-        text = bar_chart(["small", "big"], [1.0, 4.0], width=20)
-        lines = text.splitlines()
-        assert lines[1].count("█") > lines[0].count("█")
-
-    def test_negative_marked(self):
-        text = bar_chart(["x"], [-3.0])
-        assert "-" in text
-
-    def test_unit_suffix(self):
-        assert "%" in bar_chart(["x"], [5.0], unit="%")
-
-    def test_empty(self):
-        assert bar_chart([], []) == "(no data)"
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bar_chart(["a"], [1.0, 2.0])
 
 
 class TestLineChart:

@@ -1,27 +1,26 @@
 """Golden equivalence of the reference and fast engines at the experiment layer.
 
-The fig6 (composed sweeps) and fig7 (exact trace replay) quick-preset runs
-must be byte-identical between ``engine="reference"`` and
-``engine="fast"`` — rendered tables and the ``--metrics-out`` JSON
-document alike.  Same pattern as ``tests/experiments/test_parallel.py``:
-module-scoped runs, then byte-level diffs.
-
-The same contract covers campaign fusion: ``fused=True`` (one-pass
-Mattson ladders, batched window solves, memoized traces) must render the
-same bytes as ``fused=False`` per-point runs — fig12 joins here because
-its demand note reads the shared composed run.
+The fig6 (composed sweeps), fig7 (exact trace replay) and fig12 (L4
+demand read from the shared composed run) quick-preset runs must be
+byte-identical between ``engine="reference"`` and ``engine="fast"`` —
+rendered tables and the ``--metrics-out`` JSON document alike.  The fast
+engine is the campaign-fused one (one-pass Mattson ladders, batched
+window solves, memoized traces), so this is also its byte-level oracle.
+Same pattern as ``tests/experiments/test_parallel.py``: module-scoped
+runs, then byte-level diffs.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.cachesim.composition import CompositeCache
 from repro.errors import ConfigurationError
-from repro.experiments import runner
-from repro.experiments.common import RunPreset
+from repro.experiments import ablations, discussion, fig2, runner
+from repro.experiments.common import ExperimentResult, RunPreset
 from repro.experiments.parallel import run_report
 
-_ENGINE_IDS = ["fig6", "fig7"]
+_ENGINE_IDS = ["fig6", "fig7", "fig12"]
 
 
 def _report(engine):
@@ -66,46 +65,6 @@ class TestEngineByteEquality:
         ).read_bytes()
 
 
-_FUSED_IDS = ["fig6", "fig7", "fig12"]
-
-
-def _fused_report(fused):
-    preset = dataclasses.replace(RunPreset.quick(), fused=fused)
-    return run_report(preset, only=_FUSED_IDS, jobs=1)
-
-
-@pytest.fixture(scope="module")
-def fused_report():
-    return _fused_report(True)
-
-
-@pytest.fixture(scope="module")
-def unfused_report():
-    return _fused_report(False)
-
-
-class TestFusedByteEquality:
-    def test_rendered_tables_identical(self, fused_report, unfused_report):
-        assert [r.experiment_id for r in fused_report.results] == _FUSED_IDS
-        for a, b in zip(fused_report.results, unfused_report.results):
-            assert a.render() == b.render()
-
-    def test_metrics_document_identical(
-        self, fused_report, unfused_report, tmp_path
-    ):
-        runner.write_metrics(fused_report.results, str(tmp_path / "fused.json"))
-        runner.write_metrics(
-            unfused_report.results, str(tmp_path / "unfused.json")
-        )
-        assert (tmp_path / "fused.json").read_bytes() == (
-            tmp_path / "unfused.json"
-        ).read_bytes()
-
-    def test_default_preset_is_fused(self):
-        assert RunPreset.quick().fused
-        assert RunPreset.standard().fused
-
-
 class TestEnginePlumbing:
     def test_preset_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError):
@@ -119,3 +78,27 @@ class TestEnginePlumbing:
         runner.main(["--list", "--engine", "reference"])
         with pytest.raises(SystemExit):
             runner.main(["--engine", "turbo", "--list"])
+
+    def test_composed_caches_follow_preset_engine(self, monkeypatch):
+        """Regression: composed caches built outside ``composed_run``
+        (fig2's STLB, discussion's split/bigger L2, the composition
+        ablation) fell back to the reference solver whatever the preset's
+        engine was."""
+        engines = []
+        original = CompositeCache.__init__
+
+        def recording_init(
+            self, components, capacity_lines, engine="reference", **kwargs
+        ):
+            engines.append(engine)
+            original(self, components, capacity_lines, engine, **kwargs)
+
+        monkeypatch.setattr(CompositeCache, "__init__", recording_init)
+        preset = dataclasses.replace(RunPreset.quick(), engine="fast")
+        result = ExperimentResult("probe", "engine plumbing probe")
+        fig2.huge_page_rows(result, preset)
+        discussion.split_l2_rows(result, preset)
+        discussion.bigger_l2_rows(result, preset)
+        ablations.composition_vs_flat_rows(result, preset)
+        assert engines
+        assert "reference" not in engines

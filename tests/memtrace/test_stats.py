@@ -13,7 +13,6 @@ from repro.memtrace.stats import (
     segment_working_sets,
     unique_lines,
     working_set_bytes,
-    working_set_scaling,
 )
 from repro.memtrace.trace import AccessKind, Segment, Trace
 
@@ -92,14 +91,3 @@ class TestReuseTimes:
     def test_cold_fraction_empty_raises(self):
         with pytest.raises(TraceError):
             cold_fraction(Trace.empty())
-
-
-class TestWorkingSetScaling:
-    def test_monotone_in_threads(self):
-        traces = {
-            n: trace_from_addrs(list(range(0, n * 640, 64)))
-            for n in (1, 2, 4)
-        }
-        series = working_set_scaling(traces, Segment.HEAP)
-        values = list(series.values())
-        assert values == sorted(values)

@@ -4,7 +4,7 @@ The acceptance bar for the instrumentation is *reconciliation*: the
 registry's counters must agree exactly with what the serving tree
 returned (pages served, cache misses x leaves fanned out to), and the
 cumulative counters must survive trace drains.  Runner-level coverage
-lives here too: every experiment emitted by ``run_all`` carries a
+lives here too: every experiment emitted by ``run_report`` carries a
 metrics snapshot.
 """
 
@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.experiments import RunPreset, runner
+from repro.experiments.parallel import run_report
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.search.cluster import SearchCluster
@@ -155,7 +156,7 @@ class TestRunnerEmitsMetrics:
             branch_instructions=400_000,
             seed=13,
         )
-        return runner.run_all(preset=preset)
+        return run_report(preset).results
 
     def test_every_experiment_emits_a_snapshot(self, results):
         assert len(results) == len(runner.ALL_MODULES)
