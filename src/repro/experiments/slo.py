@@ -4,7 +4,10 @@ The paper evaluates throughput and notes (§IV-B) that per-query tail
 latency "remained well within the margins of our service level objective"
 — an analytic claim our :class:`~repro.search.latency.QueryLatencyModel`
 makes checkable.  This experiment closes the loop behaviourally: it
-pushes real query streams through the functional serving tree while a
+pushes real query streams through the functional serving tree — each
+query run to completion on the event-driven
+:class:`~repro.search.engine.ServingEngine`, its leaf sojourns sampled
+from the M/M/1 model — while a
 :class:`~repro.search.faults.FaultInjector` makes leaves spike, error,
 and die, and reports what a front end actually observes:
 

@@ -226,18 +226,6 @@ class SearchCluster:
             metrics=self.metrics,
         )
 
-    def _aggregation_levels(self) -> int:
-        """Depth of the aggregation tree above the leaves."""
-
-        def depth(node: RootServer) -> int:
-            deepest = 0
-            for child in node.children:
-                if isinstance(child, RootServer):
-                    deepest = max(deepest, depth(child))
-            return 1 + deepest
-
-        return depth(self.frontend.root)
-
     def with_engine(
         self,
         spec: FaultSpec | None = None,
@@ -251,9 +239,9 @@ class SearchCluster:
         The engine reuses the (expensive) shards and leaf servers but
         owns a fresh injector and event loop, so open-loop campaigns
         can be swept without rebuilding the index.  Its queue metrics
-        (``repro.search.queue.*``) and reused fan-out counters publish
-        into the cluster's shared registry.  Aggregation depth matches
-        the synchronous tree's, so overhead accounting agrees.
+        (``repro.search.queue.*``) and fan-out counters publish into the
+        cluster's shared registry, its span trees into the cluster's
+        tracer, and its aggregation tree has the root's fanout.
         """
         injector = FaultInjector(
             spec if spec is not None else FaultSpec(utilization=0.0),
@@ -267,7 +255,8 @@ class SearchCluster:
             policy=policy,
             queue=queue,
             metrics=self.metrics,
-            aggregation_levels=self._aggregation_levels(),
+            fanout=self.frontend.root.fanout,
+            tracer=self.frontend.tracer,
         )
 
     def serve_open_loop(

@@ -1,32 +1,35 @@
 """Event-driven serving core: queues, replicas, batching, heterogeneity.
 
-The synchronous tree in :mod:`repro.search.root` *samples* each leaf's
-sojourn time from the closed-form M/M/1 model — waiting is baked into
-every draw, so utilization is an input and overload (ρ >= 1) is
-unrepresentable.  This module turns the arrow around: leaves become
-actual queues drained by replica servers under a simulated-time event
-loop, service times are drawn at ρ = 0 (pure work), and *waiting
-emerges* from contention between overlapping queries.  p50/p99/p999 are
-then measured quantities, valid at any offered load — including past
-saturation, where admission control sheds excess work and pages degrade
-instead of the model raising.
+Every query the serving tree answers runs here.  Leaves are servers
+under a simulated-time event loop; the fan-out, retries, hedges,
+deadlines and partial aggregation of the paper's serving tree
+(Figure 1, §IV-B latency SLO) are events.  The fault injector's
+utilization ρ decides where waiting comes from: at ρ = 0 service times
+are pure work, leaves are actual queues drained by replica servers, and
+*waiting emerges* from contention between overlapping queries — p50/
+p99/p999 are measured quantities, valid at any offered load, including
+past saturation, where admission control sheds excess work and pages
+degrade instead of the model raising.  At ρ > 0 each draw is already a
+closed-form M/M/1 sojourn and the RPC simply completes that long after
+it is issued.
 
 Components:
 
-* :class:`EventLoop` — a deterministic discrete-event loop over the
-  injector's :class:`~repro.search.faults.SimulatedClock` (heap ordered
-  by time with a scheduling-sequence tie-break; cancellable handles).
+* :class:`EventLoop` — a deterministic discrete-event loop over a
+  :class:`~repro.search.faults.SimulatedClock` (heap ordered by time
+  with a scheduling-sequence tie-break; cancellable handles).
 * :class:`QueueConfig` — per-leaf queue shape: discipline (FIFO or
   earliest-deadline-first), replica count, admission depth limit, and
   RPC batching.
-* :class:`ServingEngine` — fans queries out to per-leaf replica queues
-  (least-loaded balancing), drives the PR-2 robustness machinery —
-  retries, hedges, deadlines — as events, and emits pages whose
-  ``latency_ms`` is measured queueing delay.  Fault and latency draws
-  come from the injector's *keyed* streams
-  (:meth:`~repro.search.faults.FaultInjector.plan_rpc` with
-  ``utilization=0.0``), so an engine run and a synchronous run of the
-  same scenario consume identical variates.
+* :class:`ServingEngine` — fans queries out to the leaves (least-loaded
+  replica balancing), drives retries, hedges and deadlines as events,
+  and emits pages whose ``latency_ms`` is measured serving time.  Open
+  loop (:meth:`~ServingEngine.submit_at`) or one query at a time on its
+  own timeline (:meth:`~ServingEngine.run_query`, the closed loop behind
+  :class:`~repro.search.root.RootServer`).  Fault and latency draws come
+  from the injector's *keyed* streams
+  (:meth:`~repro.search.faults.FaultInjector.plan_rpc`), so a scenario's
+  variates do not depend on event order.
 * :class:`HeterogeneousPool` — big/little cores with deadline-aware
   "hurry up" migration (after arXiv:1912.09844; energy framing in
   arXiv:2303.08396): work starts on efficient little cores and jumps to
@@ -34,8 +37,8 @@ Components:
 
 Queue behaviour is observable as the ``repro.search.queue.*`` metric
 family (wait/service/sojourn histograms, depth gauge, shed/batch
-counters); the engine reuses the ``repro.search.root.*`` fan-out
-counters so dashboards written for the synchronous tree keep working.
+counters); fan-out outcomes as ``repro.search.root.*``; and, with a
+tracer, each query as a ``root.aggregate``/``leaf.rpc`` span tree.
 """
 
 from __future__ import annotations
@@ -43,23 +46,68 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, log_spaced_bounds
+from repro.obs.tracing import NULL_TRACER, SpanContext, Tracer
 from repro.search.faults import (
     HEDGE_ATTEMPT_OFFSET,
     FaultInjector,
+    FaultSpec,
     RpcDraw,
     SimulatedClock,
 )
 from repro.search.leaf import LeafServer, SearchHit
 from repro.search.policies import ServingPolicy
-from repro.search.root import SearchResultPage, _merge_hits
 
 #: Queue-delay buckets: 0.01 ms .. 100 s, fine-grained so measured tails
 #: survive bucketing (≈15% bucket width at per_decade=16).
 _QUEUE_BOUNDS = log_spaced_bounds(lo=0.01, hi=100_000.0, per_decade=16)
+
+
+@dataclass(frozen=True)
+class SearchResultPage:
+    """What the front end renders: ranked hits plus snippets.
+
+    ``complete`` is False when some leaves' results are missing (deadline
+    expiry or failure); ``leaves_answered``/``leaves_total`` quantify the
+    damage and ``latency_ms`` is the simulated serving latency (None when
+    the query ran without a latency model).
+    """
+
+    terms: tuple[int, ...]
+    hits: tuple[SearchHit, ...]
+    snippets: tuple[str, ...]
+    complete: bool = True
+    leaves_answered: int = 0
+    leaves_total: int = 0
+    latency_ms: float | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.hits) != len(self.snippets):
+            raise ConfigurationError("hits and snippets must align")
+        if not 0 <= self.leaves_answered <= max(self.leaves_total, 0):
+            raise ConfigurationError(
+                f"leaves_answered {self.leaves_answered} inconsistent with "
+                f"leaves_total {self.leaves_total}"
+            )
+
+
+def _merge_hits(hits: Iterable[SearchHit], top_k: int) -> list[SearchHit]:
+    """Merge leaf results: dedupe by document, rank, truncate.
+
+    A document replicated on several shards must appear once, scored by
+    its best replica; ties break on ascending ``doc_id`` so the merged
+    order is deterministic regardless of reply arrival order.
+    """
+    best: dict[int, SearchHit] = {}
+    for hit in hits:
+        current = best.get(hit.doc_id)
+        if current is None or hit.score > current.score:
+            best[hit.doc_id] = hit
+    merged = sorted(best.values(), key=lambda h: (-h.score, h.doc_id))
+    return merged[:top_k]
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +133,9 @@ class EventLoop:
 
     Events fire in ``(time_ms, scheduling order)`` — the monotone
     sequence number breaks same-instant ties, so a run is a pure
-    function of the schedule calls.  The loop advances the shared
-    :class:`~repro.search.faults.SimulatedClock`, keeping every other
-    component (injector death times, span timestamps) on engine time.
+    function of the schedule calls.  The loop advances its
+    :class:`~repro.search.faults.SimulatedClock`; an open-loop engine
+    shares the injector's, keeping injector death times on engine time.
     """
 
     def __init__(self, clock: SimulatedClock | None = None) -> None:
@@ -138,9 +186,7 @@ class EventLoop:
             heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
-            # Guard against float round-off when chained completions
-            # land a hair before "now".
-            self.clock.advance(max(0.0, time_ms - self.clock.now_ms))
+            self.clock.advance_to(time_ms)
             callback()
             executed += 1
         self.events_run += executed
@@ -276,8 +322,31 @@ class _LeafReplica:
 # ----------------------------------------------------------------------
 
 
+def _aggregation_tree(num_leaves: int, fanout: int | None) -> tuple[tuple, int]:
+    """The balanced aggregation tree over leaf indices ``0..num_leaves-1``
+    and its number of levels.
+
+    A node is a tuple of children — leaf indices or further nodes; the
+    returned tuple is the root.  Intermediate parents group consecutive
+    children whenever a level exceeds ``fanout`` (None: one flat level),
+    mirroring the paper's root/intermediate-parent hierarchy.
+    """
+    if fanout is not None and fanout < 2:
+        raise ConfigurationError(f"fanout must be >= 2, got {fanout}")
+    level: list = list(range(num_leaves))
+    levels = 1
+    while fanout is not None and len(level) > fanout:
+        level = [tuple(level[i : i + fanout]) for i in range(0, len(level), fanout)]
+        levels += 1
+    return tuple(level), levels
+
+
 class _QueryState:
-    """Per-in-flight-query bookkeeping: leaf fan-out, hedges, deadline."""
+    """Per-in-flight-query bookkeeping: leaf fan-out, hedges, deadline.
+
+    Per-leaf ``ready_ms`` (when the leaf resolved) is relative to the
+    query's start; ``span_start_ms`` is the injector's clock at arrival.
+    """
 
     __slots__ = (
         "seq",
@@ -285,16 +354,20 @@ class _QueryState:
         "query_key",
         "top_k",
         "start_ms",
+        "span_start_ms",
+        "parent_span",
+        "deadline_ms",
         "deadline_at_ms",
-        "done",
+        "missed",
         "resolved",
         "leaf_hits",
         "answered",
         "resolved_count",
+        "attempts",
         "hedged",
+        "outcomes",
+        "ready_ms",
         "hedge_handles",
-        "deadline_handle",
-        "finalize_handle",
     )
 
     def __init__(
@@ -306,24 +379,30 @@ class _QueryState:
         start_ms: float,
         deadline_ms: float | None,
         num_leaves: int,
+        span_start_ms: float,
+        parent_span: SpanContext | None,
     ) -> None:
         self.seq = seq
         self.terms = terms
         self.query_key = query_key
         self.top_k = top_k
         self.start_ms = start_ms
+        self.span_start_ms = span_start_ms
+        self.parent_span = parent_span
+        self.deadline_ms = deadline_ms
         self.deadline_at_ms = (
             math.inf if deadline_ms is None else start_ms + deadline_ms
         )
-        self.done = False
+        self.missed = False
         self.resolved = [False] * num_leaves
         self.leaf_hits: list[list[SearchHit] | None] = [None] * num_leaves
         self.answered = 0
         self.resolved_count = 0
+        self.attempts = [1] * num_leaves
         self.hedged = [False] * num_leaves
+        self.outcomes = [""] * num_leaves
+        self.ready_ms = [0.0] * num_leaves
         self.hedge_handles: list[EventHandle | None] = [None] * num_leaves
-        self.deadline_handle: EventHandle | None = None
-        self.finalize_handle: EventHandle | None = None
 
 
 class ServingEngine:
@@ -332,15 +411,26 @@ class ServingEngine:
     Construct over real ``leaves`` (pages carry scored hits and
     snippets) or a bare ``num_leaves`` (pure queueing study — no
     content, orders of magnitude faster; what the load generator uses).
-    ``aggregation_levels`` models the tree depth: each level charges
-    ``policy.overhead_ms`` once per query on the way up.
+    ``fanout`` shapes the aggregation tree above the leaves (see
+    :func:`_aggregation_tree`); each level charges ``policy.overhead_ms``
+    once per query on the way up and takes it off the deadline on the
+    way down.
+
+    The injector's ``spec.utilization`` (ρ) picks how an RPC waits.  At
+    ρ = 0 draws are pure service times and RPCs queue at per-leaf
+    replicas shaped by ``queue``, so waiting emerges from contention.
+    At ρ > 0 each draw is already an M/M/1 sojourn: the RPC completes
+    that long after it is issued, on a server of its own, and ``queue``
+    must stay the default.
 
     Use :meth:`submit_at` to schedule arrivals (open loop: arrival
     times come from the workload, never from completions) and
     :meth:`run` to drain the event heap; pages come back in arrival
-    order.  All randomness flows through the injector's keyed streams,
-    so two engines over the same scenario — or an engine and the
-    synchronous tree — draw identical faults and service times.
+    order.  :meth:`run_query` serves one query alone (closed loop).
+    All randomness flows through the injector's keyed streams, so two
+    engines over the same scenario draw identical faults and service
+    times.  With a ``tracer`` every query records a ``root.aggregate``
+    span per aggregation node with its ``leaf.rpc`` spans beneath.
     """
 
     def __init__(
@@ -351,8 +441,8 @@ class ServingEngine:
         policy: ServingPolicy | None = None,
         queue: QueueConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        aggregation_levels: int = 1,
-        score_content: bool | None = None,
+        fanout: int | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         if leaves is None and num_leaves is None:
             raise ConfigurationError("need leaves or num_leaves")
@@ -362,19 +452,30 @@ class ServingEngine:
         )
         if self.num_leaves < 1:
             raise ConfigurationError("need at least one leaf")
-        if aggregation_levels < 1:
-            raise ConfigurationError(
-                f"aggregation_levels must be >= 1, got {aggregation_levels}"
-            )
-        self.injector = injector if injector is not None else FaultInjector()
+        self._tree, self.aggregation_levels = _aggregation_tree(
+            self.num_leaves, fanout
+        )
+        self.injector = (
+            injector
+            if injector is not None
+            else FaultInjector(FaultSpec(utilization=0.0))
+        )
         self.policy = policy if policy is not None else ServingPolicy()
         self.queue = queue if queue is not None else QueueConfig()
-        self.aggregation_levels = aggregation_levels
-        self.score_content = (
-            (self.leaves is not None) if score_content is None else score_content
-        )
-        if self.score_content and self.leaves is None:
-            raise ConfigurationError("score_content needs real leaves")
+        #: RPCs wait in replica queues only when draws are pure service.
+        self._queued = self.injector.spec.utilization == 0.0
+        if not self._queued and self.queue != QueueConfig():
+            raise ConfigurationError(
+                "queue shapes need utilization 0 draws; at utilization "
+                f"{self.injector.spec.utilization} every RPC has its own server"
+            )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: doc id -> indices of the leaves holding it, in leaf order.
+        self._owners: dict[int, list[int]] = {}
+        if self.leaves is not None:
+            for leaf_index, leaf in enumerate(self.leaves):
+                for doc in leaf.shard.doc_ids.tolist():
+                    self._owners.setdefault(int(doc), []).append(leaf_index)
         self.loop = EventLoop(clock=self.injector.clock)
         self._replicas = [
             [
@@ -390,36 +491,37 @@ class ServingEngine:
         self._on_done: Callable[[SearchResultPage], None] | None = None
 
         registry = metrics if metrics is not None else NULL_REGISTRY
-        # The queue family: what the synchronous tree cannot measure.
-        self._wait_hist = registry.histogram(
+        # The queue family exists only where queues do.
+        queues = registry if self._queued else NULL_REGISTRY
+        self._wait_hist = queues.histogram(
             "repro.search.queue.wait_ms",
             help="Time a leaf RPC spent queued before service began.",
             unit="ms",
             bounds=_QUEUE_BOUNDS,
         )
-        self._service_hist = registry.histogram(
+        self._service_hist = queues.histogram(
             "repro.search.queue.service_ms",
             help="Pure service time of leaf RPCs (utilization-free draws).",
             unit="ms",
             bounds=_QUEUE_BOUNDS,
         )
-        self._sojourn_hist = registry.histogram(
+        self._sojourn_hist = queues.histogram(
             "repro.search.queue.sojourn_ms",
             help="Leaf RPC wait + service: the measured queueing delay.",
             unit="ms",
             bounds=_QUEUE_BOUNDS,
         )
-        self._depth_gauge = registry.gauge(
+        self._depth_gauge = queues.gauge(
             "repro.search.queue.depth",
             help="Leaf RPCs queued or in service, all replicas.",
             unit="rpcs",
         )
-        self._shed = registry.counter(
+        self._shed = queues.counter(
             "repro.search.queue.shed",
             help="Leaf RPCs rejected by admission control (queue full).",
             unit="rpcs",
         )
-        self._batches = registry.counter(
+        self._batches = queues.counter(
             "repro.search.queue.batches",
             help="Server dispatches (each drains up to max_batch RPCs).",
             unit="batches",
@@ -440,8 +542,7 @@ class ServingEngine:
             unit="ms",
             bounds=_QUEUE_BOUNDS,
         )
-        # Shared fan-out families — same names as the synchronous tree,
-        # so existing dashboards and tests read engine runs unchanged.
+        # The fan-out family, shared by every engine on the registry.
         self._leaf_rpcs = registry.counter(
             "repro.search.root.leaf_rpcs",
             help="Logical leaf RPCs issued by aggregators (all tree levels).",
@@ -489,6 +590,15 @@ class ServingEngine:
         self._depth_total += delta
         self._depth_gauge.set(float(self._depth_total))
 
+    def _admit(self, deadline_ms: float | None) -> int:
+        if deadline_ms is not None and deadline_ms <= 0:
+            raise ConfigurationError(
+                f"deadline_ms must be positive, got {deadline_ms}"
+            )
+        seq = self._next_query_seq
+        self._next_query_seq += 1
+        return seq
+
     # ------------------------------------------------------------------
 
     def submit_at(
@@ -509,12 +619,7 @@ class ServingEngine:
         ``deadline_ms`` is a relative budget from arrival (None = no
         deadline).
         """
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be positive, got {deadline_ms}"
-            )
-        seq = self._next_query_seq
-        self._next_query_seq += 1
+        seq = self._admit(deadline_ms)
         key = seq if query_key is None else query_key
         terms_list = [int(t) for t in terms]
         self.loop.schedule_at(
@@ -532,6 +637,36 @@ class ServingEngine:
         self.loop.run(until_ms=until_ms)
         return [self._pages[seq] for seq in sorted(self._pages)]
 
+    def run_query(
+        self,
+        terms: Sequence[int],
+        top_k: int = 10,
+        deadline_ms: float | None = None,
+        query_key: int | None = None,
+        parent_span: SpanContext | None = None,
+    ) -> tuple[SearchResultPage, bool]:
+        """Serve one query alone, to completion (the closed loop).
+
+        The query runs on a timeline of its own starting at 0 ms, so
+        its page latency is exactly its serving time; the injector's
+        clock (death times, span starts) stays wherever the client left
+        it.  ``parent_span`` continues the caller's trace.  Returns the
+        page and whether any leaf missed the deadline.
+
+        Units: ``deadline_ms`` is a relative budget in simulated ms.
+        """
+        seq = self._admit(deadline_ms)
+        key = seq if query_key is None else query_key
+        open_loop, self.loop = self.loop, EventLoop()
+        try:
+            query = self._start_query(
+                seq, [int(t) for t in terms], key, top_k, deadline_ms, parent_span
+            )
+            self.loop.run()
+        finally:
+            self.loop = open_loop
+        return self._pages.pop(seq), query.missed
+
     # ------------------------------------------------------------------
 
     def _start_query(
@@ -541,7 +676,8 @@ class ServingEngine:
         query_key: int,
         top_k: int,
         deadline_ms: float | None,
-    ) -> None:
+        parent_span: SpanContext | None = None,
+    ) -> _QueryState:
         self._engine_queries.inc()
         query = _QueryState(
             seq=seq,
@@ -551,158 +687,163 @@ class ServingEngine:
             start_ms=self.loop.clock.now_ms,
             deadline_ms=deadline_ms,
             num_leaves=self.num_leaves,
+            span_start_ms=self.injector.clock.now_ms,
+            parent_span=parent_span,
         )
-        if deadline_ms is not None:
-            query.deadline_handle = self.loop.schedule(
-                deadline_ms, lambda: self._on_deadline(query)
-            )
         for leaf_index in range(self.num_leaves):
             self._leaf_rpcs.inc()
             self._issue_rpc(query, leaf_index, attempt=1)
+        if deadline_ms is not None:
+            cutoff_ms = deadline_ms
+            for __ in range(self.aggregation_levels):
+                cutoff_ms = max(0.0, cutoff_ms - self.policy.overhead_ms)
+            # Scheduled after the primaries: a reply landing exactly on
+            # the cutoff fires first and counts as on time.
+            self.loop.schedule(cutoff_ms, lambda: self._on_cutoff(query))
+        return query
 
     def _issue_rpc(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
-        # utilization=0.0: the queue in front of this server supplies
-        # the waiting; baking the spec's ρ in as well would double-count.
         draw = self.injector.plan_rpc(
-            self._leaf_id(leaf_index),
-            query_key=query.query_key,
-            attempt=attempt,
-            utilization=0.0,
+            self._leaf_id(leaf_index), query_key=query.query_key, attempt=attempt
         )
-        if draw.kind in ("dead", "hard"):
-            # Connection refused: detected without occupying a queue.
+        if attempt < HEDGE_ATTEMPT_OFFSET:
+            query.attempts[leaf_index] = attempt
+        refused = draw.kind in ("dead", "hard")
+        if refused or not self._queued:
+            # A refused connection is detected without occupying a queue,
+            # and a sojourn draw already holds its wait.
             self.loop.schedule(
                 draw.latency_ms,
-                lambda: self._rpc_failed(query, leaf_index, attempt, transient=False),
+                lambda: self._rpc_done(query, leaf_index, attempt, draw),
             )
-            return
-        replica = min(
-            self._replicas[leaf_index],
-            key=lambda r: (r.outstanding, r.replica_index),
-        )
-        if (
-            self.queue.max_depth is not None
-            and replica.outstanding >= self.queue.max_depth
-        ):
-            self._shed.inc()
-            self._rpc_failed(query, leaf_index, attempt, transient=False)
-            return
-        job = _Job(
-            seq=self._next_job_seq,
-            query=query,
-            leaf_index=leaf_index,
-            attempt=attempt,
-            draw=draw,
-            deadline_at_ms=query.deadline_at_ms,
-        )
-        self._next_job_seq += 1
-        replica.enqueue(job)
-        if (
-            self.policy.hedge is not None
-            and attempt == 1
-            and not query.hedged[leaf_index]
-        ):
+            if refused:
+                return
+        else:
+            replica = min(
+                self._replicas[leaf_index],
+                key=lambda r: (r.outstanding, r.replica_index),
+            )
+            if (
+                self.queue.max_depth is not None
+                and replica.outstanding >= self.queue.max_depth
+            ):
+                self._shed.inc()
+                self._rpc_failed(query, leaf_index, attempt, transient=False)
+                return
+            job = _Job(
+                seq=self._next_job_seq,
+                query=query,
+                leaf_index=leaf_index,
+                attempt=attempt,
+                draw=draw,
+                deadline_at_ms=query.deadline_at_ms,
+            )
+            self._next_job_seq += 1
+            replica.enqueue(job)
+        if self.policy.hedge is not None and attempt == 1:
             query.hedge_handles[leaf_index] = self.loop.schedule(
                 self.policy.hedge.after_ms,
                 lambda: self._fire_hedge(query, leaf_index, attempt),
             )
 
     def _fire_hedge(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
-        if query.done or query.resolved[leaf_index]:
+        if query.resolved[leaf_index]:
             return
         query.hedged[leaf_index] = True
         self._hedged.inc()
         self._issue_rpc(query, leaf_index, HEDGE_ATTEMPT_OFFSET + attempt)
 
     def _rpc_resolved(self, job: _Job) -> None:
-        now_ms = self.loop.clock.now_ms
-        self._sojourn_hist.observe(now_ms - job.enqueued_ms)
-        if job.draw.kind == "transient":
-            self._rpc_failed(job.query, job.leaf_index, job.attempt, transient=True)
+        self._sojourn_hist.observe(self.loop.clock.now_ms - job.enqueued_ms)
+        self._rpc_done(job.query, job.leaf_index, job.attempt, job.draw)
+
+    def _rpc_done(
+        self, query: _QueryState, leaf_index: int, attempt: int, draw: RpcDraw
+    ) -> None:
+        if draw.kind == "ok":
+            self._rpc_succeeded(query, leaf_index)
         else:
-            self._rpc_succeeded(job.query, job.leaf_index)
+            self._rpc_failed(
+                query, leaf_index, attempt, transient=draw.kind == "transient"
+            )
 
     def _rpc_failed(
         self, query: _QueryState, leaf_index: int, attempt: int, transient: bool
     ) -> None:
-        if query.done or query.resolved[leaf_index]:
+        if query.resolved[leaf_index]:
             return
         if attempt >= HEDGE_ATTEMPT_OFFSET:
             # A failed hedge forfeits the hedge; the primary may still win.
             return
         retry = self.policy.retry
         if transient and attempt < retry.max_attempts:
-            self._retries.inc()
             self.loop.schedule(
                 retry.backoff_ms,
                 lambda: self._retry(query, leaf_index, attempt + 1),
             )
             return
         self._leaf_failures.inc()
-        self._resolve_leaf(query, leaf_index, hits=None)
+        self._resolve_leaf(query, leaf_index, None, "failed")
 
     def _retry(self, query: _QueryState, leaf_index: int, attempt: int) -> None:
-        if query.done or query.resolved[leaf_index]:
-            return
+        if query.resolved[leaf_index]:
+            return  # the leaf cutoff passed during the backoff
+        self._retries.inc()
         self._issue_rpc(query, leaf_index, attempt)
 
     def _rpc_succeeded(self, query: _QueryState, leaf_index: int) -> None:
-        if query.done or query.resolved[leaf_index]:
-            return  # late reply: lost a hedge race or the deadline passed
-        if self.score_content:
-            assert self.leaves is not None
+        if query.resolved[leaf_index]:
+            return  # late reply: lost a hedge race or missed the cutoff
+        if self.leaves is not None:
             hits = self.leaves[leaf_index].search(query.terms, top_k=query.top_k)
         else:
             hits = []
-        self._resolve_leaf(query, leaf_index, hits=hits)
+        self._resolve_leaf(query, leaf_index, hits, "ok")
 
     def _resolve_leaf(
-        self, query: _QueryState, leaf_index: int, hits: list[SearchHit] | None
+        self,
+        query: _QueryState,
+        leaf_index: int,
+        hits: list[SearchHit] | None,
+        outcome: str,
     ) -> None:
         query.resolved[leaf_index] = True
         query.resolved_count += 1
+        query.outcomes[leaf_index] = outcome
+        query.ready_ms[leaf_index] = self.loop.clock.now_ms - query.start_ms
         handle = query.hedge_handles[leaf_index]
         if handle is not None:
             handle.cancel()
         if hits is not None:
             query.answered += 1
             query.leaf_hits[leaf_index] = hits
-        if query.resolved_count == self.num_leaves:
-            # All leaves resolved: pay the aggregation overhead, then emit.
-            query.finalize_handle = self.loop.schedule(
-                self.policy.overhead_ms * self.aggregation_levels,
-                lambda: self._finalize(query),
-            )
+        if query.resolved_count == self.num_leaves and not query.missed:
+            # Every leaf in on time: merge up the tree, one level at a time.
+            finish_ms = self.loop.clock.now_ms
+            for __ in range(self.aggregation_levels):
+                finish_ms += self.policy.overhead_ms
+            self.loop.schedule_at(finish_ms, lambda: self._finalize(query))
 
-    def _on_deadline(self, query: _QueryState) -> None:
-        if query.done:
+    def _on_cutoff(self, query: _QueryState) -> None:
+        if query.resolved_count == self.num_leaves:
             return
-        if query.finalize_handle is not None:
-            query.finalize_handle.cancel()
+        # Stragglers are dropped; the page waits out the whole deadline.
+        query.missed = True
         for leaf_index in range(self.num_leaves):
             if not query.resolved[leaf_index]:
                 self._deadline_misses.inc()
-        self._finalize(query)
+                self._resolve_leaf(query, leaf_index, None, "deadline")
+        self.loop.schedule_at(query.deadline_at_ms, lambda: self._finalize(query))
 
     def _finalize(self, query: _QueryState) -> None:
-        query.done = True
-        if query.deadline_handle is not None:
-            query.deadline_handle.cancel()
         latency_ms = self.loop.clock.now_ms - query.start_ms
         merged = _merge_hits(
             (hit for hits in query.leaf_hits if hits for hit in hits),
             query.top_k,
         )
-        if self.score_content and merged:
-            assert self.leaves is not None
-            owner_of = {
-                int(doc): self.leaves[leaf_index]
-                for leaf_index, hits in enumerate(query.leaf_hits)
-                if hits is not None
-                for doc in self.leaves[leaf_index].shard.doc_ids.tolist()
-            }
+        if self.leaves is not None:
             snippets = tuple(
-                owner_of[hit.doc_id].snippet(hit.doc_id, query.terms)
+                self._owner(query, hit.doc_id).snippet(hit.doc_id, query.terms)
                 for hit in merged
             )
         else:
@@ -711,6 +852,10 @@ class ServingEngine:
         if not complete:
             self._engine_degraded.inc()
         self._engine_latency.observe(latency_ms)
+        if self.tracer.enabled:
+            self._trace_node(
+                query, self._tree, query.parent_span, query.deadline_ms, True
+            )
         page = SearchResultPage(
             terms=tuple(query.terms),
             hits=tuple(merged),
@@ -723,6 +868,68 @@ class ServingEngine:
         self._pages[query.seq] = page
         if self._on_done is not None:
             self._on_done(page)
+
+    def _owner(self, query: _QueryState, doc_id: int) -> LeafServer:
+        """The leaf that snippets ``doc_id``: its last owner that answered."""
+        assert self.leaves is not None
+        return self.leaves[
+            next(
+                leaf_index
+                for leaf_index in reversed(self._owners[doc_id])
+                if query.leaf_hits[leaf_index] is not None
+            )
+        ]
+
+    def _trace_node(
+        self,
+        query: _QueryState,
+        node: tuple,
+        parent: SpanContext | None,
+        budget_ms: float | None,
+        is_root: bool,
+    ) -> tuple[float, bool, int, int]:
+        """Record one aggregation node's span subtree (pre-order start,
+        post-order commit); returns ``(completion, missed, answered,
+        total)`` relative to the query's start."""
+        span = self.tracer.start_span(
+            "root.aggregate", parent=parent, start_ms=query.span_start_ms
+        ).tag(children=len(node), snippets=is_root)
+        child_budget = (
+            None if budget_ms is None else max(0.0, budget_ms - self.policy.overhead_ms)
+        )
+        completion = 0.0
+        missed = False
+        answered = total = 0
+        for child in node:
+            if isinstance(child, tuple):
+                ready_ms, child_missed, child_answered, child_total = self._trace_node(
+                    query, child, span.context, child_budget, False
+                )
+            else:
+                outcome = query.outcomes[child]
+                child_missed = outcome == "deadline"
+                ready_ms = query.ready_ms[child]
+                child_answered, child_total = int(outcome == "ok"), 1
+                self.tracer.start_span(
+                    "leaf.rpc", parent=span.context, start_ms=query.span_start_ms
+                ).tag(
+                    shard=self._leaf_id(child),
+                    attempts=query.attempts[child],
+                    hedged=query.hedged[child],
+                    outcome=outcome,
+                ).finish(ready_ms)
+            completion = max(completion, ready_ms)
+            missed = missed or child_missed
+            answered += child_answered
+            total += child_total
+        if missed and budget_ms is not None:
+            completion = budget_ms
+        else:
+            completion += self.policy.overhead_ms
+        span.tag(answered=answered, total=total, missed_deadline=missed).finish(
+            completion
+        )
+        return completion, missed, answered, total
 
 
 # ----------------------------------------------------------------------

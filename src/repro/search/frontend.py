@@ -16,7 +16,7 @@ poison the result cache for the lifetime of an entry.
 Observability: the front end owns the *query* span — one
 ``frontend.query`` span per request, tagged with the cache outcome and
 the page's completeness, parenting the ``root.aggregate`` / ``leaf.rpc``
-spans underneath (see :mod:`repro.obs.tracing`).  Its counters
+spans the serving engine records underneath (see :mod:`repro.obs.tracing`).  Its counters
 (queries, degraded pages, cache hits/misses/evictions) are
 registry-backed :class:`~repro.obs.metrics.Counter` objects behind the
 same attribute names the pre-registry code exposed.

@@ -11,6 +11,7 @@ exactly the placement the paper attributes misses to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +51,9 @@ class IndexShard:
         """Total compressed posting bytes in this shard."""
         return sum(p.size_bytes for p in self.postings.values())
 
-    def local_index_of(self) -> dict[int, int]:
-        """Map global doc id -> shard-local index."""
+    @cached_property
+    def local_index(self) -> dict[int, int]:
+        """Map global doc id -> shard-local index (built on first use)."""
         return {int(d): i for i, d in enumerate(self.doc_ids)}
 
 

@@ -280,7 +280,7 @@ class LeafServer:
         Touches the document's metadata the way snippet generation re-reads
         the stored document.
         """
-        local = self.shard.local_index_of().get(doc_id)
+        local = self.shard.local_index.get(doc_id)
         if local is None:
             raise ConfigurationError(
                 f"doc {doc_id} is not in shard {self.shard.shard_id}"

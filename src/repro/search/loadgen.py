@@ -1,6 +1,6 @@
 """Open-loop load generation for the event-driven serving engine.
 
-The synchronous serving path is *closed-loop*: the simulated client
+The front end's serving path is *closed-loop*: the simulated client
 waits for each page before issuing the next query, so the system can
 never be offered more load than it drains — overload is structurally
 invisible, which is exactly the blind spot coordinated omission
@@ -229,7 +229,7 @@ def run_open_loop(
     than the schedule); None sends contentless queries — the right
     choice for pure queueing studies on an engine built without leaves.
     Query keys are the arrival sequence numbers, so the run consumes
-    exactly the keyed fault/latency draws a synchronous replay would.
+    exactly the keyed fault/latency draws a closed-loop replay would.
 
     Units: ``arrival_times_ms`` are absolute simulated times (sorted
     ascending); ``deadline_ms`` is each query's relative budget.

@@ -4,7 +4,7 @@ Aggregators in a deadline-bound serving tree do not simply wait for every
 child: they retry transient failures, hedge slow RPCs with a duplicate
 request, and budget a fixed aggregation overhead per tree level (the
 "tail at scale" playbook).  These policies are plain configuration — the
-mechanics live in :meth:`repro.search.root.RootServer.search` and the
+mechanics live in :class:`repro.search.engine.ServingEngine` and the
 randomness in :class:`repro.search.faults.FaultInjector`, so a policy
 object stays reusable across runs and trees.
 """

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.search.cluster import SearchCluster
-from repro.search.documents import Corpus, CorpusConfig
+from repro.search.documents import CorpusConfig
 from repro.search.engine import (
     CoreSpec,
     EventLoop,
@@ -19,7 +20,6 @@ from repro.search.faults import (
     FaultSpec,
     RpcDraw,
 )
-from repro.search.latency import QueryLatencyModel
 from repro.search.policies import HedgePolicy, RetryPolicy, ServingPolicy
 
 
@@ -28,14 +28,16 @@ class PlannedInjector(FaultInjector):
 
     Script values are floats (an ok draw with that latency) or
     ``(kind, latency_ms)`` pairs; off-script calls are ok at 1 ms.
+    At ``utilization`` 0 the draws are service times queued at the
+    leaves; above 0 each is a whole sojourn on a server of its own.
     """
 
-    def __init__(self, script=None):
-        super().__init__(FaultSpec(utilization=0.0), seed=0)
+    def __init__(self, script=None, utilization=0.0):
+        super().__init__(FaultSpec(utilization=utilization), seed=0)
         self.script = {k: list(v) for k, v in (script or {}).items()}
         self.planned = []
 
-    def plan_rpc(self, leaf_id, query_key=None, attempt=1, utilization=None):
+    def plan_rpc(self, leaf_id, query_key=None, attempt=1):
         self.planned.append((leaf_id, query_key, attempt))
         queue = self.script.get(leaf_id)
         if not queue:
@@ -47,7 +49,7 @@ class PlannedInjector(FaultInjector):
         return RpcDraw(kind="ok", latency_ms=float(outcome))
 
 
-def _engine(script=None, metrics=None, **kwargs):
+def _engine(script=None, metrics=None, utilization=0.0, **kwargs):
     """A content-free engine with scripted draws and zero overheads."""
     kwargs.setdefault("num_leaves", 1)
     kwargs.setdefault(
@@ -55,7 +57,9 @@ def _engine(script=None, metrics=None, **kwargs):
         ServingPolicy(retry=RetryPolicy(max_attempts=1), overhead_ms=0.0),
     )
     return ServingEngine(
-        injector=PlannedInjector(script), metrics=metrics, **kwargs
+        injector=PlannedInjector(script, utilization=utilization),
+        metrics=metrics,
+        **kwargs,
     )
 
 
@@ -142,9 +146,7 @@ class TestServingEngine:
         with pytest.raises(ConfigurationError):
             ServingEngine(num_leaves=0)
         with pytest.raises(ConfigurationError):
-            ServingEngine(num_leaves=1, aggregation_levels=0)
-        with pytest.raises(ConfigurationError):
-            ServingEngine(num_leaves=1, score_content=True)
+            ServingEngine(num_leaves=1, fanout=1)
 
     def test_submit_validation(self):
         engine = _engine()
@@ -281,11 +283,14 @@ class TestServingEngine:
         assert page.leaves_answered == 1 and page.leaves_total == 2
 
     def test_aggregation_levels_charge_overhead(self):
+        # Five leaves under fanout 2: 5 -> 3 -> 2 nodes, three levels.
         engine = _engine(
             {0: [4.0]},
             policy=ServingPolicy(retry=RetryPolicy(max_attempts=1), overhead_ms=2.0),
-            aggregation_levels=3,
+            num_leaves=5,
+            fanout=2,
         )
+        assert engine.aggregation_levels == 3
         engine.submit_at(0.0)
         (page,) = engine.run()
         assert page.latency_ms == 4.0 + 3 * 2.0
@@ -312,54 +317,114 @@ class TestServingEngine:
         assert snap.value("repro.search.queue.depth") == 0.0
 
 
-class TestSyncEquivalence:
-    """The engine and the synchronous tree consume identical keyed draws."""
+class TestClosedLoop:
+    """One query on its own timeline: sojourn draws, deadline cutoffs."""
 
-    @pytest.fixture(scope="class")
-    def cluster(self):
-        return SearchCluster.build(
+    def policy(self, **kwargs):
+        kwargs.setdefault("retry", RetryPolicy(max_attempts=1))
+        kwargs.setdefault("overhead_ms", 0.0)
+        return ServingPolicy(**kwargs)
+
+    def test_sojourn_draws_skip_the_queues(self):
+        # Two RPCs of one leaf overlap (primary and hedge) without
+        # queueing behind each other, and no queue metrics appear.
+        metrics = MetricsRegistry()
+        engine = _engine(
+            {0: [50.0, 2.0]},
+            metrics=metrics,
+            utilization=0.5,
+            policy=self.policy(hedge=HedgePolicy(after_ms=5.0)),
+        )
+        page, missed = engine.run_query([])
+        assert page.latency_ms == 7.0 and page.complete and not missed
+        assert not any(n.startswith("repro.search.queue.") for n in metrics.names())
+
+    def test_queue_shapes_need_pure_service_draws(self):
+        with pytest.raises(ConfigurationError):
+            _engine(utilization=0.5, queue=QueueConfig(replicas=2))
+
+    def test_each_query_starts_at_zero(self):
+        engine = _engine({0: [3.0, 4.0]}, utilization=0.5)
+        engine.injector.clock.advance(100.0)
+        first, __ = engine.run_query([])
+        second, __ = engine.run_query([])
+        assert (first.latency_ms, second.latency_ms) == (3.0, 4.0)
+        assert engine.injector.clock.now_ms == 100.0
+
+    def test_hedges_only_the_first_attempt(self):
+        metrics = MetricsRegistry()
+        engine = _engine(
+            {0: [("transient", 10.0), ("transient", 1.0), 50.0]},
+            metrics=metrics,
+            utilization=0.5,
+            policy=self.policy(
+                retry=RetryPolicy(max_attempts=2, backoff_ms=1.0),
+                hedge=HedgePolicy(after_ms=5.0),
+            ),
+        )
+        page, __ = engine.run_query([], query_key=0)
+        # The attempt-1 hedge fails at 6; the retry at 11 is slower than
+        # the hedge delay but is not hedged again.
+        assert page.latency_ms == 61.0 and page.complete
+        assert [a for __, __, a in engine.injector.planned] == [
+            1,
+            HEDGE_ATTEMPT_OFFSET + 1,
+            2,
+        ]
+        assert metrics.snapshot().value("repro.search.root.hedged_rpcs") == 1
+
+    def test_hedge_fires_while_primary_is_unresolved(self):
+        # The primary errors at 20 ms, after the 5 ms hedge timer: the
+        # hedge went out and answers at 8 ms.
+        engine = _engine(
+            {0: [("transient", 20.0), 3.0]},
+            utilization=0.5,
+            policy=self.policy(hedge=HedgePolicy(after_ms=5.0)),
+        )
+        page, __ = engine.run_query([])
+        assert page.complete and page.latency_ms == 8.0
+
+    def test_no_retry_after_the_cutoff(self):
+        metrics = MetricsRegistry()
+        engine = _engine(
+            {0: [("transient", 9.5), 1.0]},
+            metrics=metrics,
+            utilization=0.5,
+            policy=self.policy(retry=RetryPolicy(max_attempts=2, backoff_ms=1.0)),
+        )
+        page, missed = engine.run_query([], deadline_ms=10.0)
+        # The retry would start at 10.5, past the 10 ms cutoff.
+        assert missed and not page.complete and page.latency_ms == 10.0
+        assert [a for __, __, a in engine.injector.planned] == [1]
+        snap = metrics.snapshot()
+        assert snap.value("repro.search.root.retries") == 0
+        assert snap.value("repro.search.root.deadline_misses") == 1
+
+
+class TestOpenLoopTracing:
+    def test_open_loop_engine_emits_span_trees(self):
+        tracer = Tracer()
+        cluster = SearchCluster.build(
             corpus_config=CorpusConfig(
                 num_documents=120, vocabulary_size=250, seed=5
             ),
             num_leaves=4,
             fanout=2,
+            record_traces=False,
+            tracer=tracer,
         )
-
-    def test_isolated_queries_match_synchronous_tree(self, cluster):
-        spec = FaultSpec(
-            utilization=0.0,
-            transient_error_rate=0.15,
-            latency_spike_rate=0.15,
-        )
-        policy = ServingPolicy(
-            retry=RetryPolicy(max_attempts=2, backoff_ms=1.0), overhead_ms=2.0
-        )
-        model = QueryLatencyModel(base_service_ms=8.0, fanout=4, overhead_ms=2.0)
-        queries = [[t] for t in range(1, 13)]
-
-        faulty = cluster.with_faults(
-            spec, policy=policy, latency_model=model, seed=42
-        )
-        sync_pages = [faulty.frontend.search_terms(q) for q in queries]
-
-        engine = cluster.with_engine(
-            spec=spec, policy=policy, latency_model=model, seed=42
-        )
-        # Arrivals spaced far beyond any sojourn: no queueing overlap, so
-        # measured latency reduces to the same draws the tree consumed.
-        for index, query in enumerate(queries):
-            engine.submit_at(10_000.0 * index, terms=query, query_key=index)
-        engine_pages = engine.run()
-
-        assert len(engine_pages) == len(sync_pages)
-        for sync_page, engine_page in zip(sync_pages, engine_pages):
-            assert engine_page.complete == sync_page.complete
-            assert engine_page.leaves_answered == sync_page.leaves_answered
-            assert engine_page.hits == sync_page.hits
-            assert engine_page.snippets == sync_page.snippets
-            assert engine_page.latency_ms == pytest.approx(
-                sync_page.latency_ms, abs=1e-6
-            )
+        pages, __ = cluster.serve_open_loop([[1], [2], [3]], qps=500.0, seed=1)
+        spans = tracer.spans()
+        roots = [s for s in spans if s.parent_id is None]
+        assert len(roots) == len(pages) == 3
+        assert {s.name for s in roots} == {"root.aggregate"}
+        for root in roots:
+            tree = [s for s in spans if s.trace_id == root.trace_id]
+            names = sorted(s.name for s in tree)
+            assert names == ["leaf.rpc"] * 4 + ["root.aggregate"] * 3
+            # Committed post-order: the root aggregate closes its trace.
+            assert tree[-1] is root
+            assert root.tags["answered"] == root.tags["total"] == 4
 
 
 class TestHeterogeneousPool:

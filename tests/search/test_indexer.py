@@ -59,6 +59,13 @@ class TestBuilder:
         for local, doc_id in enumerate(shard.doc_ids[:20].tolist()):
             assert shard.doc_lengths[local] == corpus[doc_id].length
 
+    def test_local_index_built_once(self, corpus):
+        shard = build(corpus, num_shards=4)[1]
+        assert shard.local_index is shard.local_index
+        assert shard.local_index == {
+            doc_id: local for local, doc_id in enumerate(shard.doc_ids.tolist())
+        }
+
     def test_empty_builder_rejected(self):
         with pytest.raises(ConfigurationError):
             InvertedIndexBuilder().build()

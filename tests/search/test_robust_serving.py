@@ -9,7 +9,7 @@ from repro.errors import (
 )
 from repro.search.cluster import SearchCluster
 from repro.search.documents import Corpus, CorpusConfig
-from repro.search.faults import FaultInjector, FaultSpec
+from repro.search.faults import FaultInjector, FaultSpec, RpcDraw
 from repro.search.frontend import FrontendServer, ResultCache
 from repro.search.indexer import InvertedIndexBuilder
 from repro.search.latency import LatencyAccumulator, QueryLatencyModel
@@ -37,28 +37,30 @@ def term(corpus):
 
 class ScriptedInjector(FaultInjector):
     """Plays back per-leaf outcome scripts: floats are latencies (ms),
-    "transient"/"hard" are failures; off-script calls take 1 ms."""
+    "transient"/"hard" are failures; off-script calls take 1 ms.
+
+    Its spec's utilization is above 0, so every scripted latency is a
+    whole sojourn: the reply lands exactly that long after the call.
+    """
 
     def __init__(self, script):
         super().__init__(FaultSpec(), seed=0)
         self.script = {k: list(v) for k, v in script.items()}
 
-    def leaf_latency_ms(self, leaf_id, query_key=None, attempt=1):
+    def plan_rpc(self, leaf_id, query_key=None, attempt=1):
         self._calls.inc()
-        from repro.errors import LeafUnavailableError
-
         if self.is_dead(leaf_id):
-            raise LeafUnavailableError(leaf_id, transient=False, after_ms=0.5)
+            return RpcDraw(kind="dead", latency_ms=0.5)
         queue = self.script.get(leaf_id)
         if not queue:
-            return 1.0
+            return RpcDraw(kind="ok", latency_ms=1.0)
         outcome = queue.pop(0)
         if outcome == "transient":
-            raise LeafUnavailableError(leaf_id, transient=True, after_ms=1.0)
+            return RpcDraw(kind="transient", latency_ms=1.0)
         if outcome == "hard":
             self.died_at_ms[leaf_id] = self.clock.now_ms
-            raise LeafUnavailableError(leaf_id, transient=False, after_ms=0.5)
-        return float(outcome)
+            return RpcDraw(kind="hard", latency_ms=0.5)
+        return RpcDraw(kind="ok", latency_ms=float(outcome))
 
 
 class TestPolicies:
@@ -116,6 +118,20 @@ class TestRobustSearch:
         lost = {int(d) for d in leaves[0].shard.doc_ids.tolist()}
         returned = {h.doc_id for h in page.hits}
         assert returned == {h.doc_id for h in full.hits} - lost
+
+    def test_each_level_takes_its_overhead_off_the_deadline(self, leaves, term):
+        # Two 2 ms levels under a 50 ms deadline: leaves have until 46 ms,
+        # and a reply exactly at the cutoff is still on time.
+        tree = RootServer.build_tree(leaves, fanout=2)
+        slow_leaf = leaves[0].shard.shard_id
+        on_time = tree.search(
+            [term], deadline_ms=50.0, injector=ScriptedInjector({slow_leaf: [46.0]})
+        )
+        assert on_time.complete and on_time.latency_ms == 50.0
+        late = tree.search(
+            [term], deadline_ms=50.0, injector=ScriptedInjector({slow_leaf: [46.5]})
+        )
+        assert not late.complete and late.latency_ms == 50.0
 
     def test_everything_misses_tiny_deadline(self, leaves, term):
         root = RootServer(leaves)
@@ -187,6 +203,34 @@ class TestRobustSearch:
             root.search([term], deadline_ms=0.0)
         with pytest.raises(ConfigurationError):
             root.search([term], on_incomplete="explode")
+
+
+class TestSnippetOwner:
+    def test_last_answered_replica_generates_snippets(self, corpus, term):
+        """A document on several leaves is snippeted by the last one (in
+        leaf order) that answered."""
+        snippeted = []
+
+        class LoggingLeaf(LeafServer):
+            def snippet(self, doc_id, terms):
+                snippeted.append(self)
+                return super().snippet(doc_id, terms)
+
+        replicas = []
+        for __ in range(2):
+            builder = InvertedIndexBuilder()
+            builder.add_corpus(corpus)
+            replicas.append(LoggingLeaf(builder.build()[0]))
+        root = RootServer(replicas)
+        page = root.search([term], top_k=5)
+        assert snippeted == [replicas[1]] * len(page.hits)
+        # Both replicas are shard 0: the script's calls alternate between
+        # them, so the second replica errors twice and never answers.
+        snippeted.clear()
+        injector = ScriptedInjector({0: [1.0, "transient", "transient"]})
+        page = root.search([term], top_k=5, injector=injector)
+        assert page.leaves_answered == 1
+        assert snippeted == [replicas[0]] * len(page.hits)
 
 
 class TestFrontendRobustness:

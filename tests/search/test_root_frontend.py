@@ -8,7 +8,9 @@ from repro.search.documents import Corpus, CorpusConfig
 from repro.search.frontend import FrontendServer, ResultCache
 from repro.search.indexer import InvertedIndexBuilder
 from repro.search.leaf import LeafServer, SearchHit
-from repro.search.root import RootServer, SearchResultPage, _merge_hits
+from repro.obs.tracing import Tracer
+from repro.search.engine import _merge_hits
+from repro.search.root import RootServer, SearchResultPage
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +66,13 @@ class TestRootServer:
     def test_build_tree_inserts_parents(self, leaves):
         # 4 leaves with fanout 2: one intermediate level.
         root = RootServer.build_tree(leaves, fanout=2)
-        assert len(root.children) == 2
-        assert all(isinstance(c, RootServer) for c in root.children)
+        tracer = Tracer()
+        root.search([1], tracer=tracer)
+        aggregates = [s for s in tracer.spans() if s.name == "root.aggregate"]
+        (top,) = [s for s in aggregates if s.parent_id is None]
+        parents = [s for s in aggregates if s.parent_id == top.span_id]
+        assert top.tags["children"] == 2 and len(parents) == 2
+        assert all(p.tags["children"] == 2 for p in parents)
 
     def test_tree_results_match_flat(self, corpus, leaves):
         flat = RootServer(leaves)
