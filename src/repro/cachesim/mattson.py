@@ -6,9 +6,11 @@ implementation is Olken's algorithm: a hash of last-access positions plus a
 Fenwick tree counting "positions that are currently the most recent access
 of their line", so each stack distance is a prefix-sum query.
 
-This engine is exact but runs a Python loop per access; use it for traces up
-to a few hundred thousand accesses (tests, validation, small studies) and
-:mod:`repro.cachesim.misscurve` for the GiB-scale sweeps.
+This engine is exact but runs a Python loop per access: it is the reference
+oracle.  The exact fast path is
+:func:`repro.cachesim.fastsim.fast_stack_distances`, bit-identical and
+fully vectorized, which ``engine="fast"`` selects in the functions below;
+the differential suite pins the two together.
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ streaming and O(1)-memory:
   effective rate; memory is thereby bounded no matter how large the
   working set grows, at the cost of coarser estimates.
 
+Sampled distances are stack distances of the hash-filtered sub-stream,
+so one :func:`repro.cachesim.fastsim.fast_stack_distances` call per fed
+batch computes them all: a feed costs O(tracked + batch).
+
 Each scaled distance lands in a fixed log-spaced histogram with weight
 ``1 / R``; the resulting :class:`ShardsCurve` answers the same
 ``hit_rate(capacity_lines)`` questions as
@@ -41,6 +45,7 @@ import heapq
 
 import numpy as np
 
+from repro.cachesim import fastsim
 from repro.errors import ConfigurationError, TraceError
 
 #: Wrap mask for 64-bit hash arithmetic on Python ints.
@@ -97,39 +102,25 @@ def hash_unit(lines: np.ndarray, seed: int = 0) -> np.ndarray:
     return (v >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-class _SlotTree:
-    """Fenwick tree over sampled-access time slots, with compaction.
+def _evicted_between(
+    prev: np.ndarray, reuses: np.ndarray, last: np.ndarray, evicted_at: np.ndarray
+) -> np.ndarray:
+    """Per reuse, the evicted lines between its previous access and it.
 
-    Olken's structure restricted to the sampled sub-stream: each tracked
-    line flags the slot of its most recent access, and a reuse's sampled
-    stack distance is the count of flags after the line's previous slot.
-    Slots are consumed monotonically; when they run out the tree is
-    rebuilt over the surviving flags (at most the reservoir size), which
-    is what keeps memory bounded while the stream is unbounded.
+    A line evicted by rate adaptation stays in the kernel's stream, so it
+    inflates a reuse's distance iff it was evicted before the reuse and
+    last accessed after the reuse's previous access.  All are stream
+    positions (``last[k]`` and ``evicted_at[k]`` describe one line).  In
+    the time-ordered merge of evictions (value ``-last``) and reuses
+    (value ``-prev - 1``) that is the count of preceding values ``<=``
+    the reuse's, less the reuses' count among themselves.
     """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._tree = [0] * (capacity + 1)
-        self.flagged = 0
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self._tree
-        while i <= self.capacity:
-            tree[i] += delta
-            i += i & (-i)
-        self.flagged += delta
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of flags in ``[0, index]``."""
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+    values = -prev[reuses] - 1
+    order = np.argsort(np.concatenate((evicted_at, reuses)), kind="stable")
+    merged = np.concatenate((-last, values))[order]
+    counts = np.empty(len(order), np.int64)
+    counts[order] = fastsim._count_preceding_leq(merged)[: len(order)]
+    return counts[len(last) :] - fastsim._count_preceding_leq(values)[: len(values)]
 
 
 class ShardsEstimator:
@@ -149,10 +140,13 @@ class ShardsEstimator:
         Salts the spatial hash; estimators with equal seeds sample
         nested line sets across rates.
 
-    Feed accesses with :meth:`feed` (vectorized; accepts any int array
-    of cache-line ids) or :meth:`observe`; read the running estimate
-    with :meth:`curve` and health with :attr:`rate`,
-    :attr:`reservoir_lines`, :attr:`reservoir_evictions`.
+    Feed accesses in batches with :meth:`feed` (any 1-D int array of
+    cache-line ids, in program order); read the running estimate with
+    :meth:`curve` and health with :attr:`rate`, :attr:`reservoir_lines`,
+    :attr:`reservoir_evictions`.  The only state carried between feeds
+    is the tracked lines (least recently used first) with their hashes,
+    so a feed costs O(tracked + batch) and one
+    :func:`~repro.cachesim.fastsim.fast_stack_distances` call.
     """
 
     def __init__(
@@ -173,25 +167,17 @@ class ShardsEstimator:
         self.seed = seed
         self._threshold = float(rate)
         self._edges = DISTANCE_EDGES
-        #: Estimated reuses per scaled-distance bucket (weights of 1/R).
-        self._weights = np.zeros(len(self._edges) + 1, np.float64)
-        self._cold_weight = 0.0
+        #: Estimated reuses per scaled-distance bucket (weights of 1/R),
+        #: then one last slot holding the scaled first-touch mass.
+        self._mass = np.zeros(len(self._edges) + 2, np.float64)
         self._total_accesses = 0
         self._sampled_accesses = 0
         self._cold_touches = 0
         self._evictions = 0
-        self._compactions = 0
-        #: line -> slot of its most recent sampled access; insertion
-        #: implies hash(line) < threshold at the time of first touch.
-        self._last_slot: dict[int, int] = {}
-        #: Max-heap (negated hash) over tracked lines, for evictions.
-        self._by_hash: list[tuple[float, int]] = []
-        if max_reservoir is not None:
-            capacity = max(1024, 4 * max_reservoir)
-        else:
-            capacity = 4096
-        self._slots = _SlotTree(capacity)
-        self._next_slot = 0
+        #: Tracked lines, least recently used first, and their hashes
+        #: (every one below the threshold).
+        self._lines = np.empty(0, np.int64)
+        self._hashes = np.empty(0, np.float64)
 
     # -- health --------------------------------------------------------
 
@@ -213,32 +199,23 @@ class ShardsEstimator:
     @property
     def reservoir_lines(self) -> int:
         """Distinct lines currently tracked (bounded by ``max_reservoir``)."""
-        return len(self._last_slot)
+        return len(self._lines)
 
     @property
     def reservoir_evictions(self) -> int:
         """Lines evicted by rate adaptation since construction."""
         return self._evictions
 
-    @property
-    def compactions(self) -> int:
-        """Slot-tree rebuilds (each is O(reservoir), amortized O(1)/access)."""
-        return self._compactions
-
     # -- feeding -------------------------------------------------------
-
-    def observe(self, line: int) -> None:
-        """Feed a single cache-line access (streaming convenience)."""
-        self.feed(np.asarray([line], np.int64))
 
     def feed(self, lines: np.ndarray) -> None:
         """Feed a batch of cache-line ids in program order.
 
-        Unsampled accesses cost one vectorized hash compare; only the
-        sampled sub-stream (fraction ~``rate``) takes the per-access
-        Python path.  The threshold only ever decreases, so prefiltering
-        at the current threshold is sound even when adaptation fires
-        mid-batch (each sampled access is re-checked).
+        Unsampled accesses cost one vectorized hash compare.  The sampled
+        sub-stream -- the tracked lines in recency order, then each batch
+        access whose hash is below the threshold in force when it arrives
+        -- goes through one stack-distance kernel call; reuse distances
+        that span a rate-adaptation eviction are then corrected.
         """
         lines = np.asarray(lines)
         if lines.ndim != 1:
@@ -247,73 +224,93 @@ class ShardsEstimator:
         if len(lines) == 0:
             return
         hashes = hash_unit(lines, seed=self.seed)
-        mask = hashes < self._threshold
-        if not mask.any():
+        # The threshold only ever falls, so prefiltering at the current one
+        # is sound.
+        keep = hashes < self._threshold
+        if not keep.any():
             return
-        for line, h in zip(
-            lines[mask].tolist(), hashes[mask].tolist()
-        ):
-            if h >= self._threshold:
-                continue  # adaptation fired earlier in this batch
-            self._observe_sampled(int(line), h)
-
-    def _observe_sampled(self, line: int, line_hash: float) -> None:
-        self._sampled_accesses += 1
-        if self._next_slot >= self._slots.capacity:
-            self._compact()
-        slot = self._next_slot
-        self._next_slot += 1
-        prev = self._last_slot.get(line)
-        if prev is None:
-            self._cold_weight += 1.0 / self._threshold
-            self._cold_touches += 1
-            heapq.heappush(self._by_hash, (-line_hash, line))
-        else:
-            distance = self._slots.flagged - self._slots.prefix_sum(prev) + 1
-            self._record(distance)
-            self._slots.add(prev, -1)
-        self._slots.add(slot, 1)
-        self._last_slot[line] = slot
-        if (
-            self.max_reservoir is not None
-            and len(self._last_slot) > self.max_reservoir
-        ):
-            self._adapt()
-
-    def _record(self, sampled_distance: int) -> None:
+        lines, hashes = lines[keep].astype(np.int64, copy=False), hashes[keep]
+        tracked = len(self._lines)
+        stream = np.concatenate((self._lines, lines))
+        prev = fastsim._previous_occurrence(stream)
+        rate = np.full(len(lines), self._threshold)
+        evicted = evicted_at = np.empty(0, np.int64)
+        first = np.flatnonzero(prev[tracked:] < 0)
+        if self.max_reservoir is not None and tracked + len(first) > self.max_reservoir:
+            changes, thresholds, evicted, evicted_at = self._adapt(
+                first, lines[first], hashes[first]
+            )
+            rate = thresholds[np.searchsorted(changes, np.arange(len(lines)))]
+            sampled = hashes < rate
+            if not sampled.all():
+                # Evictions happen at sampled first touches; re-index them.
+                evicted_at = np.cumsum(sampled)[evicted_at] - 1
+                lines, hashes, rate = lines[sampled], hashes[sampled], rate[sampled]
+                stream = np.concatenate((self._lines, lines))
+                prev = fastsim._previous_occurrence(stream)
+            self._threshold = float(thresholds[-1])
+        distances = fastsim.fast_stack_distances(stream)[tracked:]
+        reuse = prev[tracked:] >= 0
+        # Last accesses; the surviving lines, in this order, stay tracked.
+        tail = np.ones(len(stream), bool)
+        tail[prev[prev >= 0]] = False
+        if len(evicted):
+            last = np.flatnonzero(tail)
+            last = last[np.isin(stream[last], evicted)]
+            tail[last] = False
+            if reuse.any():
+                order = np.argsort(evicted)
+                at = evicted_at[order][np.searchsorted(evicted[order], stream[last])]
+                distances[reuse] -= _evicted_between(
+                    prev, tracked + np.flatnonzero(reuse), last, tracked + at
+                )
+        self._lines = stream[tail]
+        self._hashes = np.concatenate((self._hashes, hashes))[tail]
         # The reused line itself always appears in the sampled distance;
         # only the *other* distinct lines are thinned by the rate.  Scaling
         # the raw distance by 1/R would therefore bias every estimate up
-        # by ~1/R lines — fatal near the resolution floor.
-        scaled = (sampled_distance - 1) / self._threshold + 1.0
-        index = int(np.searchsorted(self._edges, scaled, side="left"))
-        self._weights[index] += 1.0 / self._threshold
+        # by ~1/R lines -- fatal near the resolution floor.
+        slots = np.full(len(lines), len(self._edges) + 1)
+        scaled = (distances[reuse] - 1) / rate[reuse] + 1.0
+        slots[reuse] = np.searchsorted(self._edges, scaled, side="left")
+        # In program order, so every float sum matches one-at-a-time adds.
+        np.add.at(self._mass, slots, 1.0 / rate)
+        self._sampled_accesses += len(lines)
+        self._cold_touches += len(lines) - int(np.count_nonzero(reuse))
+        self._evictions += len(evicted)
 
-    def _adapt(self) -> None:
-        """Evict the largest-hash line(s); the threshold drops to their hash."""
-        top_hash = -self._by_hash[0][0]
-        self._threshold = top_hash
-        while self._by_hash and -self._by_hash[0][0] >= self._threshold:
-            __, line = heapq.heappop(self._by_hash)
-            slot = self._last_slot.pop(line, None)
-            if slot is not None:
-                self._slots.add(slot, -1)
-                self._evictions += 1
+    def _adapt(
+        self, first: np.ndarray, first_lines: np.ndarray, first_hashes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Run SHARDS_adj admission over the batch's first touches.
 
-    def _compact(self) -> None:
-        """Rebuild the slot tree over the surviving flags only."""
-        self._compactions += 1
-        survivors = sorted(
-            self._last_slot.items(), key=lambda item: item[1]
+        Only first touches grow the tracked set: admit those below the
+        threshold, and on overflow drop the threshold to the largest
+        tracked hash, evicting every line at or above it.  Returns the
+        positions where the threshold fell, the thresholds (initial
+        first), and the evicted lines with the position of their eviction.
+        """
+        heap = list(zip((-self._hashes).tolist(), self._lines.tolist()))
+        heapq.heapify(heap)
+        changes, thresholds, evicted, evicted_at = [], [self._threshold], [], []
+        for position, line, line_hash in zip(
+            first.tolist(), first_lines.tolist(), first_hashes.tolist()
+        ):
+            if line_hash >= thresholds[-1]:
+                continue
+            heapq.heappush(heap, (-line_hash, line))
+            if len(heap) > self.max_reservoir:
+                changes.append(position)
+                thresholds.append(-heap[0][0])
+                while heap and -heap[0][0] >= thresholds[-1]:
+                    evicted.append(heapq.heappop(heap)[1])
+                    evicted_at.append(position)
+        return (
+            np.asarray(changes, np.int64),
+            np.asarray(thresholds),
+            np.asarray(evicted, np.int64),
+            np.asarray(evicted_at, np.int64),
         )
-        capacity = self._slots.capacity
-        if self.max_reservoir is None and 2 * len(survivors) > capacity:
-            capacity *= 2  # unbounded mode: grow with the tracked set
-        self._slots = _SlotTree(capacity)
-        for new_slot, (line, __) in enumerate(survivors):
-            self._slots.add(new_slot, 1)
-            self._last_slot[line] = new_slot
-        self._next_slot = len(survivors)
 
     # -- reading -------------------------------------------------------
 
@@ -330,8 +327,8 @@ class ShardsEstimator:
             raise TraceError("no accesses fed yet; the estimate is undefined")
         return ShardsCurve(
             edges=self._edges,
-            weights=self._weights.copy(),
-            cold_weight=self._cold_weight,
+            weights=self._mass[:-1].copy(),
+            cold_weight=float(self._mass[-1]),
             num_accesses=self._total_accesses,
             sampled_accesses=self._sampled_accesses,
             cold_touches=self._cold_touches,
@@ -481,10 +478,6 @@ class ShardsEnsemble:
         lines = np.asarray(lines)
         for member in self._members:
             member.feed(lines)
-
-    def observe(self, line: int) -> None:
-        """Feed a single cache-line access to every member."""
-        self.feed(np.asarray([line], np.int64))
 
     def curve(self) -> ShardsCurve:
         """The replica-averaged estimate (same capacity surface).

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.cachesim import fastsim
 from repro.cachesim.mattson import hit_rate_for_capacities
 from repro.cachesim.shards import (
     DISTANCE_EDGES,
@@ -25,6 +26,48 @@ line_streams = st.lists(
 def zipf_lines(n=60_000, pool=6000, a=1.2, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.zipf(a, n) % pool).astype(np.int64)
+
+
+def reference_shards(chunks, rate, max_reservoir, seed):
+    """SHARDS_adj by its definition, one access at a time.
+
+    The tracked lines form a plain LRU stack (least recent first); a
+    sampled reuse's distance is its depth in that stack.  On overflow the
+    threshold drops to the largest tracked hash and every tracked line at
+    or above it is dropped.
+    """
+    threshold, stack, hashes = rate, [], {}
+    weights = np.zeros(len(DISTANCE_EDGES) + 1)
+    cold_weight, sampled, cold_touches, evictions = 0.0, 0, 0, 0
+    for chunk in chunks:
+        for line, h in zip(chunk.tolist(), hash_unit(chunk, seed).tolist()):
+            if h >= threshold:
+                continue
+            sampled += 1
+            if line in stack:
+                distance = len(stack) - stack.index(line)
+                stack.remove(line)
+                scaled = (distance - 1) / threshold + 1.0
+                weights[np.searchsorted(DISTANCE_EDGES, scaled)] += 1.0 / threshold
+            else:
+                cold_weight += 1.0 / threshold
+                cold_touches += 1
+                hashes[line] = h
+            stack.append(line)
+            if max_reservoir is not None and len(stack) > max_reservoir:
+                threshold = max(hashes[x] for x in stack)
+                evictions += sum(hashes[x] >= threshold for x in stack)
+                stack = [x for x in stack if hashes[x] < threshold]
+    return (weights.tobytes(), repr(cold_weight), threshold, evictions,
+            sampled, cold_touches, sorted(stack))
+
+
+def estimator_state(estimator):
+    """The fields :func:`reference_shards` returns, read off an estimator."""
+    curve = estimator.curve()
+    return (curve._weights.tobytes(), repr(curve.cold_weight), estimator.rate,
+            estimator.reservoir_evictions, estimator.sampled_accesses,
+            curve.cold_touches, sorted(estimator._lines.tolist()))
 
 
 class TestHashUnit:
@@ -90,7 +133,7 @@ class TestConditionalInclusion:
         high = ShardsEstimator(rate=high_rate, seed=5)
         low.feed(lines)
         high.feed(lines)
-        assert set(low._last_slot) <= set(high._last_slot)
+        assert set(low._lines.tolist()) <= set(high._lines.tolist())
 
     def test_scaled_distances_shrink_reservoir_not_mass(self):
         lines = zipf_lines(20_000, pool=2000)
@@ -105,6 +148,57 @@ class TestConditionalInclusion:
             curve.hit_rates(np.array([10**9]))[0] * curve.num_accesses
         )
         assert mass == pytest.approx(len(lines), rel=0.15)
+
+
+class TestReferenceDifferential:
+    """The batch estimator against :func:`reference_shards`, exactly."""
+
+    @given(
+        # Seeded streams: drawn element-wise lists stay too short to adapt.
+        lines=st.builds(
+            lambda n, pool, seed: np.random.default_rng(seed).integers(pool, size=n),
+            st.integers(1, 400),
+            st.integers(1, 200),
+            st.integers(0, 2**16),
+        ),
+        rate=st.one_of(
+            st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+            st.floats(0.05, 1.0, allow_nan=False),
+        ),
+        # 1 stands for "unbounded"; st.none() in a one_of would crowd out
+        # the bounded cases, which are the ones that adapt.
+        bound=st.integers(1, 64).map(lambda b: b if b > 1 else None),
+        cuts=st.lists(st.integers(0, 400), max_size=6),
+        seed=st.integers(0, 3),
+    )
+    # Line 1 has the largest hash of {0, 1, 2} under seed 0, so at bound 2
+    # admitting 2 evicts 1: after the reuse of 0 in the first example,
+    # between the two accesses of 0 in the second.
+    @example(lines=np.array([0, 1, 0, 2]), rate=1.0, bound=2, cuts=[], seed=0)
+    @example(lines=np.array([0, 1, 2, 0, 1]), rate=1.0, bound=2, cuts=[], seed=0)
+    def test_matches_reference(self, lines, rate, bound, cuts, seed):
+        chunks = np.split(lines, sorted(min(c, len(lines)) for c in cuts))
+        estimator = ShardsEstimator(rate=rate, max_reservoir=bound, seed=seed)
+        for chunk in chunks:
+            estimator.feed(chunk)
+        assert estimator_state(estimator) == reference_shards(
+            chunks, rate, bound, seed
+        )
+
+    def test_one_kernel_call_per_sampled_batch(self):
+        """However many adaptations fire, a feed makes one kernel call."""
+        lines = np.random.default_rng(1).permutation(20_000).astype(np.int64)
+        estimator = ShardsEstimator(rate=0.5, max_reservoir=16, seed=0)
+        for chunk in np.array_split(lines, 4):
+            before = fastsim.counters_snapshot()["kernel_calls"]
+            evictions = estimator.reservoir_evictions
+            estimator.feed(chunk)
+            assert estimator.reservoir_evictions > evictions
+            assert fastsim.counters_snapshot()["kernel_calls"] - before == 1
+        unsampled = np.flatnonzero(hash_unit(lines, 0) >= estimator.rate)
+        before = fastsim.counters_snapshot()["kernel_calls"]
+        estimator.feed(lines[unsampled])
+        assert fastsim.counters_snapshot()["kernel_calls"] == before
 
 
 class TestReservoirBound:
