@@ -11,9 +11,10 @@ Runs in under a minute.  Three steps:
 """
 
 from repro._units import MiB
-from repro.core.hitcurve import LogLinearHitCurve
-from repro.core.optimizer import HierarchyDesignEvaluator, SensitivityScenario
+from repro.core.optimizer import DesignPoint, HierarchyDesignEvaluator
 from repro.experiments import RunPreset, composed_run
+from repro.hw import derive_models
+from repro.hw.catalog import proposed
 from repro.memtrace.trace import Segment
 
 
@@ -39,14 +40,15 @@ def main() -> None:
         )
 
     print("\n== the proposed design vs the 18-core/45 MiB baseline ==")
-    evaluator = HierarchyDesignEvaluator(
-        stream_source=run,
-        scale=preset.scale,
-        l3_hit_fn=LogLinearHitCurve.fig10_effective(),
-    )
-    for scenario in SensitivityScenario.all_scenarios():
-        evaluation = evaluator.evaluate(scenario, 1024 * MiB)
-        print(f"  {evaluation.render()}")
+    evaluator = HierarchyDesignEvaluator(run, preset.scale, derive_models(proposed()))
+    for point in (
+        DesignPoint(cores=23, l3_mib=23.0),
+        DesignPoint(cores=23, l3_mib=23.0, l4_mib=1024),
+        DesignPoint(
+            cores=23, l3_mib=23.0, l4_mib=1024, l4_hit_ns=60.0, l4_miss_penalty_ns=5.0
+        ),
+    ):
+        print(f"  {evaluator.evaluate(point).render()}")
     print("\npaper: +14% from rebalancing alone, +27% combined at 1 GiB / 40 ns")
 
 

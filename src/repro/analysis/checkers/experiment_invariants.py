@@ -3,17 +3,21 @@
 The experiment layer has a contract the runner and the benchmark suite
 both rely on: every figure/table module exposes a module-level
 ``EXPERIMENT_ID``, ``TITLE``, and a ``run(preset)`` entry point, is listed
-in ``repro.experiments.runner.ALL_MODULES``, and has a matching
-``benchmarks/bench_<name>.py`` guarding its runtime.  A module that drops
-out of any of these silently vanishes from reports and perf tracking —
-exactly the failure mode a repro cannot afford — so these are checked as
-whole-project invariants rather than per-file style.
+in ``repro.experiments.runner.ALL_MODULES``, and has a benchmark guarding
+its runtime: a matching ``benchmarks/bench_<name>.py``, or an
+``experiments.<name>.*`` per-layer metric in the repo's
+``BENCHMARK.json`` (the campaign benchmark times every experiment).  A
+module that drops out of any of these silently vanishes from reports and
+perf tracking — exactly the failure mode a repro cannot afford — so these
+are checked as whole-project invariants rather than per-file style.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
+from pathlib import Path
 
 from repro.analysis.base import (
     FileContext,
@@ -37,9 +41,10 @@ RPR201 = Rule(
 RPR202 = Rule(
     id="RPR202",
     name="missing-benchmark",
-    summary="Experiment module has no matching benchmarks/bench_*.py.",
+    summary="Experiment module has no matching benchmarks/bench_*.py and no "
+    "per-layer metric in BENCHMARK.json.",
     suggestion="add benchmarks/bench_<module>.py exercising the module's "
-    "run() at the quick preset",
+    "run() at the quick preset, or time it in the campaign benchmark",
     category="experiment-invariant",
 )
 
@@ -101,6 +106,22 @@ def _registered_modules(runner: FileContext) -> set[str] | None:
     return None
 
 
+def _ledger_metrics(root: Path) -> set[str]:
+    """Per-layer metric names the repo benchmark declares, if any."""
+    ledger = root / "BENCHMARK.json"
+    if not ledger.is_file():
+        return set()
+    try:
+        declared = json.loads(ledger.read_text()).get("per_layer", [])
+    except (json.JSONDecodeError, AttributeError):
+        return set()
+    return {
+        entry["name"]
+        for entry in declared
+        if isinstance(entry, dict) and isinstance(entry.get("name"), str)
+    }
+
+
 @register
 class ExperimentInvariantChecker(ProjectChecker):
     """Cross-file contract between experiments, runner, and benchmarks."""
@@ -123,10 +144,12 @@ class ExperimentInvariantChecker(ProjectChecker):
             )
 
         benchmarks_dir = None
+        ledger: set[str] = set()
         if project.root is not None:
             candidate = project.root / "benchmarks"
             if candidate.is_dir():
                 benchmarks_dir = candidate
+            ledger = _ledger_metrics(project.root)
 
         for ctx in project.files:
             stem = _experiment_stem(ctx.module)
@@ -135,13 +158,17 @@ class ExperimentInvariantChecker(ProjectChecker):
             violations.extend(self._check_entry_point(ctx, stem, registered))
             if benchmarks_dir is not None:
                 bench = benchmarks_dir / f"bench_{stem}.py"
-                if not bench.exists():
+                timed = any(
+                    name.startswith(f"experiments.{stem}.") for name in ledger
+                )
+                if not bench.exists() and not timed:
                     violations.append(
                         self.project_report(
                             ctx.path,
                             RPR202,
                             f"no benchmark found for experiment module "
-                            f"{stem!r} (expected {bench.name})",
+                            f"{stem!r} (expected {bench.name} or an "
+                            f"experiments.{stem}.* metric in BENCHMARK.json)",
                         )
                     )
         return violations

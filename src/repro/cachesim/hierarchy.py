@@ -22,7 +22,7 @@ Engines:
   :class:`~repro.cachesim.misscurve.MissRatioCurve`, justified by the paper's
   Figure 7a (conflict misses beyond L1 under 1%).  Returns an
   :class:`AnalyticHierarchyResult` that keeps the post-L2 stream and its
-  miss-ratio curve, so L3 capacity sweeps and L4 studies reuse the same pass.
+  miss-ratio curve, so L3 capacity sweeps reuse the same pass.
   Inclusion and prefetchers raise.
 
 Both vectorized engines share one upstream L1/L2 filter loop
@@ -189,9 +189,8 @@ class AnalyticHierarchyResult(HierarchyResult):
     """Hierarchy result that retains the post-L2 stream for reuse.
 
     ``l3_curve`` is the miss-ratio curve of the stream entering the L3:
-  	calling :meth:`l3_sweep` evaluates any number of L3 capacities without
-    re-simulating, and :meth:`l3_miss_stream` yields the victim stream an L4
-    cache would observe at a chosen L3 capacity.
+    calling :meth:`l3_sweep` evaluates any number of L3 capacities without
+    re-simulating.
     """
 
     def __init__(
@@ -227,20 +226,6 @@ class AnalyticHierarchyResult(HierarchyResult):
             stats.record_arrays(segments, kinds, hits)
             out[capacity] = stats
         return out
-
-    def l3_miss_stream(
-        self, l3_capacity_bytes: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lines, segments, kinds) of L3 misses at the given capacity.
-
-        This is the demand stream seen by a memory-side L4 victim cache.
-        """
-        curve = self._require_curve()
-        lines_cap = max(1, l3_capacity_bytes // self.l3_block_size)
-        miss = curve.miss_mask(lines_cap)
-        idx = self.l3_indices[miss]
-        lines = lines_of_addrs(self.trace.addr[idx], self.l3_block_size)
-        return lines, self.trace.segment[idx], self.trace.kind[idx]
 
 
 def simulate_hierarchy(

@@ -9,21 +9,25 @@ Ties the substrates together into the paper's §IV evaluation flow:
    (Figures 9–11, +14% at 1 MiB/core).
 4. :mod:`repro.core.l4cache` — the latency-optimized, direct-mapped,
    on-package eDRAM L4 (Figures 12–13).
-5. :mod:`repro.core.optimizer` — the combined design evaluation
-   (Figure 14, +27% baseline / +38% future).
+5. :mod:`repro.core.optimizer` — the one design scorer: a (cores, L3,
+   L4) candidate against the PLT1 baseline (Figure 14 and the
+   design-space exploration, +27% at the proposed design).
 6. :mod:`repro.core.power` — power/energy accounting (§IV-C).
 """
 
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
 from repro.core.area import AreaModel
-from repro.core.hitcurve import ComposedHitCurve, LogLinearHitCurve
+from repro.core.hitcurve import (
+    ComposedHitCurve,
+    LogLinearHitCurve,
+    MissScaledHitCurve,
+)
 from repro.core.rebalance import CacheForCoresOptimizer, RebalancePoint
 from repro.core.l4cache import L4Config, L4Cache, L4Result
 from repro.core.optimizer import (
-    AnalyticStreamAdapter,
-    DesignEvaluation,
+    DesignPoint,
+    EvaluatedDesign,
     HierarchyDesignEvaluator,
-    SensitivityScenario,
 )
 from repro.core.power import PowerModel
 
@@ -33,14 +37,14 @@ __all__ = [
     "AreaModel",
     "ComposedHitCurve",
     "LogLinearHitCurve",
+    "MissScaledHitCurve",
     "CacheForCoresOptimizer",
     "RebalancePoint",
     "L4Config",
     "L4Cache",
     "L4Result",
-    "AnalyticStreamAdapter",
-    "DesignEvaluation",
+    "DesignPoint",
+    "EvaluatedDesign",
     "HierarchyDesignEvaluator",
-    "SensitivityScenario",
     "PowerModel",
 ]

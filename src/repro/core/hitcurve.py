@@ -21,13 +21,15 @@ curves over a one-decade capacity range — clamped to sane bounds.
 A third option, :class:`ComposedHitCurve`, adapts a measured
 :class:`~repro.cachesim.composed.ComposedHierarchy` demand curve, for
 studies that want the synthetic workload's own curve end to end.
+:class:`MissScaledHitCurve` grows any curve's misses by a factor (the
+paper's future scenario: 10% more L3 misses).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro._units import MiB
 from repro.errors import ConfigurationError
@@ -105,6 +107,25 @@ class LogLinearHitCurve:
             slope_per_doubling=0.175,
             curvature=0.0241,
         )
+
+
+@dataclass(frozen=True)
+class MissScaledHitCurve:
+    """A hit curve whose miss rate is multiplied by ``miss_scale``.
+
+    ``h'(C) = max(0, 1 - (1 - h(C)) * miss_scale)``; the future scenario
+    of Figure 14 uses ``miss_scale = 1.10``.
+    """
+
+    curve: Callable[[int], float]
+    miss_scale: float
+
+    def __post_init__(self) -> None:
+        if self.miss_scale < 1.0:
+            raise ConfigurationError("miss_scale must be >= 1")
+
+    def __call__(self, capacity_bytes: int) -> float:
+        return max(0.0, 1.0 - (1.0 - self.curve(capacity_bytes)) * self.miss_scale)
 
 
 class ComposedHitCurve:

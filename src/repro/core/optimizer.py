@@ -1,253 +1,309 @@
-"""Combined hierarchy evaluation: rebalanced L3 + eDRAM L4 (Figure 14).
+"""The design scorer: one candidate hierarchy against the PLT1 baseline.
 
-Evaluates the paper's final design — 23 cores, 1 MiB/core of L3, and an
-on-package L4 — against the 18-core / 45 MiB PLT1 baseline, across the
-paper's four scenarios:
+The paper's §IV result is one question asked at many points: how much
+throughput does a (cores, L3, L4) design gain over the 18-core / 45 MiB
+PLT1 baseline?  :class:`HierarchyDesignEvaluator` is the one place that
+answers it.  Figure 14 asks it at the proposed design under four
+scenarios; the design-space explorer (:mod:`repro.dse`) asks it for
+thousands of candidates.  Both score through this class.
 
-* **baseline** — 40 ns direct-mapped L4, overlapped miss path; the paper
-  reports +27% at 1 GiB.
-* **pessimistic** — 60 ns hit, 5 ns un-overlapped miss penalty; still >23%.
-* **associative** — fully-associative L4 (sensitivity: ~1 point better than
-  direct-mapped, validating the simple design).
-* **future** — memory latency and L3 misses both grown 10%; +38%.
+An evaluator binds three inputs:
 
-The evaluator needs two inputs:
+1. a :class:`~repro.hw.adapters.DerivedModels` bundle — Eq. 1's
+   latencies, the area and power models and the L4 geometry of one
+   hardware spec (Figure 14's scenarios are spec variants: a
+   fully-associative L4, or memory 10% slower);
+2. an **L3 hit curve** in paper-scale bytes, by default the Figure 9/10
+   effective curve;
+3. an **L4 demand stream source** — anything exposing ``block_size``,
+   ``l4_demand``, ``l3_mpki`` and ``solve_l3_sweep``;
+   :class:`~repro.cachesim.composed.ComposedHierarchy` provides these
+   natively.
 
-1. an **L4 demand stream source** — anything exposing ``block_size``,
-   ``l3_hit_rate(capacity_bytes)`` and ``l4_demand(capacity_bytes)``;
-   :class:`~repro.cachesim.composed.ComposedHierarchy` provides this
-   natively, and :class:`AnalyticStreamAdapter` wraps a trace-based
-   :class:`~repro.cachesim.hierarchy.AnalyticHierarchyResult`;
-2. optionally an **L3 hit-rate function** in paper-scale bytes (e.g. the
-   Figure 9/10 effective curve) used in the AMAT model; by default the
-   stream source's own demand curve is used.
-
-Because the L4's demand stream is taken at the *rebalanced* (smaller) L3,
-the synergy the paper highlights — a smaller L3 feeds the L4 hotter data,
-raising its hit rate ~10% — emerges naturally rather than being assumed.
+The L4 demand stream is taken at the candidate's L3 capacity rounded to
+the nearest :data:`L3_GRID_MIB` point, so the synergy the paper
+highlights — a smaller L3 feeds the L4 hotter data, raising its hit rate
+~10% — emerges from simulation rather than being assumed.  Demand
+streams (per grid capacity), L4 hit rates (per grid capacity and L4
+size; hit rates do not depend on latencies) and L3 MPKI (per capacity)
+are memoized, so scoring thousands of candidates costs a few dozen
+simulations.
 
 Experiments run at reduced ``scale``; capacities accepted by this module
-are paper-scale bytes and are scaled internally before touching streams.
+are paper-scale and are scaled internally before touching streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 import numpy as np
 
-from repro._units import MiB, format_size
-from repro.cachesim.hierarchy import AnalyticHierarchyResult
-from repro.core.area import AreaModel
-from repro.core.l4cache import L4Cache, L4Config
-from repro.core.perf_model import MemoryLatencies, SearchPerfModel
+from repro._units import MiB
+from repro.core.hitcurve import LogLinearHitCurve
+from repro.core.l4cache import L4Cache
 from repro.errors import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.hw.adapters import DerivedModels
 
-class L3StreamSource(Protocol):
-    """What the evaluator needs from a simulated hierarchy."""
+#: L3 capacities (paper-scale MiB) at which L4 demand streams are taken.
+#: The grid is the CAT half-way ladder with 22.5 MiB replaced by the
+#: paper's 23 MiB design point, so the proposed design's L4 sees exactly
+#: the demand stream Figures 13/14 simulate.
+L3_GRID_MIB = (4.5, 9.0, 13.5, 18.0, 23.0, 27.0, 31.5, 36.0, 40.5, 45.0)
+
+
+class L4DemandSource(Protocol):
+    """What the evaluator needs from a simulated hierarchy.
+
+    Units: every capacity is stream-scale bytes.
+    """
 
     block_size: int
 
-    def l3_hit_rate(self, capacity_bytes: int) -> float:
-        """Demand L3 hit rate at a (scaled) capacity."""
-
     def l4_demand(self, l3_capacity_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lines, segments) of the L3 miss stream at a (scaled) capacity."""
+        """(lines, segments) of the L3 miss stream at a capacity."""
 
+    def l3_mpki(self, capacity_bytes: int) -> float:
+        """Per-thread L3 misses per kilo-instruction at a capacity."""
 
-class AnalyticStreamAdapter:
-    """Adapts a trace-based AnalyticHierarchyResult to L3StreamSource."""
-
-    def __init__(self, result: AnalyticHierarchyResult) -> None:
-        if result.l3_curve is None:
-            raise ConfigurationError(
-                "hierarchy result has no L3 stream; simulate with an L3"
-            )
-        self._result = result
-        self.block_size = result.l3_block_size
-
-    def l3_hit_rate(self, capacity_bytes: int) -> float:
-        lines = max(1, capacity_bytes // self.block_size)
-        return self._result.l3_curve.hit_rate(lines)
-
-    def l4_demand(self, l3_capacity_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-        lines, segments, __ = self._result.l3_miss_stream(l3_capacity_bytes)
-        return lines, segments
+    def solve_l3_sweep(self, capacities_bytes: list[int]) -> list:
+        """Solve the L3 at many capacities in one batch."""
 
 
 @dataclass(frozen=True)
-class SensitivityScenario:
-    """One column group of Figure 14."""
+class DesignPoint:
+    """One candidate hierarchy: cores + L3, optionally an L4.
 
-    name: str
-    latencies: MemoryLatencies = field(default_factory=MemoryLatencies)
-    l4_associativity: str = "direct"
-    #: Multiplier on L3 miss *rates* (the future scenario uses 1.10).
-    l3_miss_scale: float = 1.0
+    ``l4_mib == 0`` means no L4; the latency fields are then inert.
 
-    def __post_init__(self) -> None:
-        if self.l3_miss_scale < 1.0:
-            raise ConfigurationError("l3_miss_scale must be >= 1")
+    Units: ``l3_mib`` and ``l4_mib`` are paper-scale MiB; ``l4_hit_ns``
+    and ``l4_miss_penalty_ns`` are nanoseconds.
+    """
 
-    @classmethod
-    def baseline(cls) -> "SensitivityScenario":
-        return cls(name="baseline")
-
-    @classmethod
-    def pessimistic(cls) -> "SensitivityScenario":
-        return cls(name="pessimistic", latencies=MemoryLatencies().pessimistic())
-
-    @classmethod
-    def associative(cls) -> "SensitivityScenario":
-        return cls(name="associative", l4_associativity="full")
-
-    @classmethod
-    def future(cls) -> "SensitivityScenario":
-        return cls(
-            name="future",
-            latencies=MemoryLatencies().future(),
-            l3_miss_scale=1.10,
-        )
-
-    @classmethod
-    def all_scenarios(cls) -> list["SensitivityScenario"]:
-        return [cls.baseline(), cls.pessimistic(), cls.associative(), cls.future()]
-
-
-@dataclass(frozen=True)
-class DesignEvaluation:
-    """Outcome of evaluating one (scenario, L4 capacity) design point."""
-
-    scenario: str
-    l4_capacity: int
     cores: int
     l3_mib: float
-    l3_hit_rate: float
-    l4_hit_rate: float
-    qps_improvement: float
-    rebalance_only_improvement: float
+    l4_mib: int = 0
+    l4_hit_ns: float = 40.0
+    l4_miss_penalty_ns: float = 0.0
+
+    def __post_init__(self) -> None:
+        """Validate every field; units per the class docstring.
+
+        Units: ``l3_mib``/``l4_mib`` are MiB; ``l4_hit_ns`` and
+        ``l4_miss_penalty_ns`` are nanoseconds.
+        """
+        if not isinstance(self.cores, int) or isinstance(self.cores, bool):
+            raise ConfigurationError(f"cores must be an int, got {self.cores!r}")
+        if self.cores < 1:
+            raise ConfigurationError(f"cores must be >= 1, got {self.cores}")
+        if self.l3_mib <= 0:
+            raise ConfigurationError(f"l3_mib must be positive, got {self.l3_mib}")
+        if self.l4_mib < 0:
+            raise ConfigurationError(f"l4_mib must be >= 0, got {self.l4_mib}")
+        if self.l4_hit_ns <= 0:
+            raise ConfigurationError("l4_hit_ns must be positive")
+        if self.l4_miss_penalty_ns < 0:
+            raise ConfigurationError("l4_miss_penalty_ns must be >= 0")
 
     @property
-    def l4_additional_improvement(self) -> float:
-        """QPS gain attributable to the L4 on top of the rebalanced L3."""
-        return (1.0 + self.qps_improvement) / (
-            1.0 + self.rebalance_only_improvement
-        ) - 1.0
+    def has_l4(self) -> bool:
+        """Whether this design includes an L4."""
+        return self.l4_mib > 0
+
+    @property
+    def sort_key(self) -> tuple:
+        """Canonical ordering tuple (the enumeration order of a space)."""
+        return (
+            self.cores,
+            self.l3_mib,
+            self.l4_mib,
+            self.l4_hit_ns,
+            self.l4_miss_penalty_ns,
+        )
+
+    def describe(self) -> str:
+        """Compact human-readable label, e.g. ``23c/23.0MiB+L4:1024MiB``."""
+        label = f"{self.cores}c/{self.l3_mib:g}MiB"
+        if self.has_l4:
+            label += f"+L4:{self.l4_mib}MiB@{self.l4_hit_ns:g}ns"
+        return label
+
+
+@dataclass(frozen=True)
+class EvaluatedDesign:
+    """One scored candidate — the objective vector plus its diagnostics.
+
+    Units: ``qps`` is relative throughput (cores x IPC, same unit as the
+    figure experiments); ``area_mib`` is core-equivalent MiB;
+    ``watts`` is watts; ``energy_per_query`` is watts per unit of
+    relative QPS (relative joules/query); ``memory_nj_per_ki`` is
+    nanojoules per kilo-instruction.
+    """
+
+    point: DesignPoint
+    qps: float
+    qps_improvement: float
+    area_mib: float
+    watts: float
+    energy_per_query: float
+    l3_hit_rate: float
+    l4_hit_rate: float | None
+    memory_nj_per_ki: float
 
     def render(self) -> str:
+        """One-line summary for reports."""
+        l4 = f"h(L4)={self.l4_hit_rate:5.1%}" if self.l4_hit_rate is not None else "no L4     "
         return (
-            f"{self.scenario:<12} L4={format_size(self.l4_capacity):>8}  "
-            f"h(L3)={self.l3_hit_rate:5.1%}  h(L4)={self.l4_hit_rate:5.1%}  "
-            f"QPS {self.qps_improvement:+6.1%} "
-            f"(rebalance alone {self.rebalance_only_improvement:+.1%})"
+            f"{self.point.describe():<26} QPS {self.qps_improvement:+6.1%}  "
+            f"area {self.area_mib:6.1f} MiB  {self.watts:6.1f} W  "
+            f"E/q {self.energy_per_query:6.3f}  {l4}"
         )
 
 
 class HierarchyDesignEvaluator:
-    """Evaluates rebalance + L4 designs over one simulated workload."""
+    """Scores candidate designs against the 18-core / 45 MiB PLT1 baseline.
+
+    Parameters
+    ----------
+    stream_source:
+        The simulated hierarchy whose L3 miss stream feeds the L4.
+    scale:
+        Stream scale of ``stream_source`` (paper bytes x scale = stream
+        bytes).
+    models:
+        The calibrated model bundle of one hardware spec.
+    hit_rate_fn:
+        L3 hit rate vs. paper-scale capacity in bytes; defaults to the
+        Figure 10 effective curve.
+    """
 
     def __init__(
         self,
-        stream_source: L3StreamSource,
-        scale: float = 1.0,
-        l3_hit_fn: Callable[[int], float] | None = None,
-        perf_model: SearchPerfModel | None = None,
-        area_model: AreaModel | None = None,
-        baseline_cores: int = 18,
-        baseline_l3_mib: float = 45.0,
-        design_cores: int = 23,
-        design_l3_mib: float = 23.0,
+        stream_source: L4DemandSource,
+        scale: float,
+        models: DerivedModels,
+        hit_rate_fn: Callable[[int], float] | None = None,
     ) -> None:
+        """Bind the inputs and score the PLT1 baseline once."""
+        # Deferred: repro.hw's adapters import repro.core.
+        from repro.hw.catalog import plt1
+
         if not 0 < scale <= 1:
             raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
         self.source = stream_source
         self.scale = scale
-        self.l3_hit_fn = l3_hit_fn
-        self.perf_model = perf_model or SearchPerfModel()
-        self.area_model = area_model or AreaModel()
-        self.baseline_cores = baseline_cores
-        self.baseline_l3_mib = baseline_l3_mib
-        self.design_cores = design_cores
-        self.design_l3_mib = design_l3_mib
-        self._l4_cache: dict[tuple, float] = {}
+        self.models = models
+        self.hit_rate_fn = hit_rate_fn or LogLinearHitCurve.fig10_effective()
+        baseline = plt1()
+        self.baseline_qps = models.perf.qps(
+            baseline.cores_per_socket,
+            self.hit_rate_fn(int(baseline.l3.size_mib * MiB)),
+        )
+        self._l4_hits: dict[tuple[float, int], float] = {}
+        self._demands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._mpki: dict[int, float] = {}
 
     # ------------------------------------------------------------------
 
     def _scaled_bytes(self, paper_bytes: float) -> int:
+        """Paper-scale bytes -> stream-scale bytes (block-size floored).
+
+        Units: ``paper_bytes`` is bytes at paper scale.
+        """
         return max(self.source.block_size, int(paper_bytes * self.scale))
 
-    def _l3_hit_rate(self, paper_l3_mib: float) -> float:
-        if self.l3_hit_fn is not None:
-            return self.l3_hit_fn(int(paper_l3_mib * MiB))
-        return self.source.l3_hit_rate(self._scaled_bytes(paper_l3_mib * MiB))
-
     @staticmethod
-    def _apply_miss_scale(hit_rate: float, miss_scale: float) -> float:
-        return max(0.0, 1.0 - (1.0 - hit_rate) * miss_scale)
+    def quantized_l3_mib(l3_mib: float) -> float:
+        """The :data:`L3_GRID_MIB` capacity nearest to an L3 size.
 
-    def _l4_hit_rate(self, scenario: SensitivityScenario, l4_capacity: int) -> float:
-        key = (scenario.l4_associativity, l4_capacity)
-        if key in self._l4_cache:
-            return self._l4_cache[key]
-        lines, segments = self.source.l4_demand(
-            self._scaled_bytes(self.design_l3_mib * MiB)
-        )
-        config = L4Config(
-            capacity=self._scaled_bytes(l4_capacity),
-            block_size=self.source.block_size,
-            hit_ns=scenario.latencies.l4_hit_ns,
-            miss_penalty_ns=scenario.latencies.l4_miss_penalty_ns,
-            associativity=scenario.l4_associativity,
-        )
-        hit = L4Cache(config).simulate(lines, segments).hit_rate
-        self._l4_cache[key] = hit
-        return hit
+        Ties break toward the smaller grid point (hotter demand stream).
+
+        Units: ``l3_mib`` is paper-scale MiB.
+        """
+        return min(L3_GRID_MIB, key=lambda grid: (abs(grid - l3_mib), grid))
+
+    def _l4_demand(self, grid_mib: float) -> tuple[np.ndarray, np.ndarray]:
+        if grid_mib not in self._demands:
+            self._demands[grid_mib] = self.source.l4_demand(
+                self._scaled_bytes(grid_mib * MiB)
+            )
+        return self._demands[grid_mib]
+
+    def l4_hit_rate(self, grid_mib: float, l4_mib: int) -> float:
+        """Simulated L4 hit rate over the grid capacity's miss stream.
+
+        Memoized per (grid capacity, L4 size): hit rates are independent
+        of the candidate's L4 latencies, so all latency variants of one
+        geometry share a single simulation.
+
+        Units: ``grid_mib`` and ``l4_mib`` are paper-scale MiB.
+        """
+        key = (grid_mib, l4_mib)
+        if key not in self._l4_hits:
+            lines, segments = self._l4_demand(grid_mib)
+            config = self.models.l4_config(self._scaled_bytes(l4_mib * MiB))
+            self._l4_hits[key] = L4Cache(config).simulate(lines, segments).hit_rate
+        return self._l4_hits[key]
+
+    def _l3_mpki(self, capacity_bytes: int) -> float:
+        """Memoized per-thread L3 MPKI at a stream-scale capacity.
+
+        Units: ``capacity_bytes`` is stream-scale bytes.
+        """
+        if capacity_bytes not in self._mpki:
+            self._mpki[capacity_bytes] = self.source.l3_mpki(capacity_bytes)
+        return self._mpki[capacity_bytes]
+
+    def prime(self, l3_mibs: Iterable[float]) -> None:
+        """Batch-solve the L3 at every capacity later scores will touch.
+
+        One :meth:`~L4DemandSource.solve_l3_sweep` call covers the given
+        L3 sizes and the L4 demand grid, so per-point scoring afterwards
+        needs no further L3 solves.
+
+        Units: ``l3_mibs`` are paper-scale MiB.
+        """
+        capacities = {self._scaled_bytes(mib * MiB) for mib in l3_mibs}
+        capacities.update(self._scaled_bytes(grid * MiB) for grid in L3_GRID_MIB)
+        self.source.solve_l3_sweep(sorted(capacities))
 
     # ------------------------------------------------------------------
 
-    def evaluate(
-        self, scenario: SensitivityScenario, l4_capacity: int
-    ) -> DesignEvaluation:
-        """Evaluate one design point; ``l4_capacity`` is paper-scale bytes."""
-        model = self.perf_model.with_latencies(scenario.latencies)
-
-        h3_base = self._apply_miss_scale(
-            self._l3_hit_rate(self.baseline_l3_mib), scenario.l3_miss_scale
-        )
-        h3_design = self._apply_miss_scale(
-            self._l3_hit_rate(self.design_l3_mib), scenario.l3_miss_scale
-        )
-        h4 = self._l4_hit_rate(scenario, l4_capacity)
-
-        qps_baseline = model.qps(self.baseline_cores, h3_base)
-        qps_rebalance = model.qps(self.design_cores, h3_design)
-        qps_design = model.qps(self.design_cores, h3_design, l4_hit_rate=h4)
-
-        return DesignEvaluation(
-            scenario=scenario.name,
-            l4_capacity=l4_capacity,
-            cores=self.design_cores,
-            l3_mib=self.design_l3_mib,
-            l3_hit_rate=h3_design,
+    def evaluate(self, point: DesignPoint) -> EvaluatedDesign:
+        """Score one candidate against the 18-core / 45 MiB baseline."""
+        models = self.models
+        h3 = self.hit_rate_fn(int(point.l3_mib * MiB))
+        if point.has_l4:
+            h4 = self.l4_hit_rate(self.quantized_l3_mib(point.l3_mib), point.l4_mib)
+            latencies = replace(
+                models.latencies,
+                l4_hit_ns=point.l4_hit_ns,
+                l4_miss_penalty_ns=point.l4_miss_penalty_ns,
+            )
+            qps = models.perf.with_latencies(latencies).qps(
+                point.cores, h3, l4_hit_rate=h4
+            )
+            watts = models.power.socket_watts(point.cores) + models.l4_static_watts(
+                float(point.l4_mib)
+            )
+        else:
+            h4 = None
+            qps = models.perf.qps(point.cores, h3)
+            watts = models.power.socket_watts(point.cores)
+        mpki = self._l3_mpki(self._scaled_bytes(point.l3_mib * MiB))
+        return EvaluatedDesign(
+            point=point,
+            qps=qps,
+            qps_improvement=qps / self.baseline_qps - 1.0,
+            area_mib=models.area.total_area_mib(point.cores, point.l3_mib),
+            watts=watts,
+            energy_per_query=models.power.energy_per_query(watts, qps),
+            l3_hit_rate=h3,
             l4_hit_rate=h4,
-            qps_improvement=qps_design / qps_baseline - 1.0,
-            rebalance_only_improvement=qps_rebalance / qps_baseline - 1.0,
+            memory_nj_per_ki=models.power.memory_energy_per_ki(
+                mpki, l4_hit_rate=h4
+            ),
         )
-
-    def sweep(
-        self,
-        scenarios: list[SensitivityScenario] | None = None,
-        l4_capacities: list[int] | None = None,
-    ) -> list[DesignEvaluation]:
-        """The full Figure 14 grid: scenarios x L4 capacities."""
-        scenarios = scenarios or SensitivityScenario.all_scenarios()
-        l4_capacities = l4_capacities or [
-            size * MiB for size in (128, 256, 512, 1024, 2048)
-        ]
-        return [
-            self.evaluate(scenario, capacity)
-            for scenario in scenarios
-            for capacity in l4_capacities
-        ]

@@ -1,8 +1,8 @@
 """Enumeration of candidate memory-hierarchy designs.
 
-A :class:`DesignPoint` names one candidate: a core count, a shared L3
-capacity, and an optional eDRAM L4 (size plus hit/miss-penalty
-latencies).  :meth:`DesignSpace.paper_default` spans the axes the paper
+A :class:`~repro.core.optimizer.DesignPoint` names one candidate: a
+core count, a shared L3 capacity, and an optional eDRAM L4 (size plus
+hit/miss-penalty latencies).  :meth:`DesignSpace.paper_default` spans the axes the paper
 explores — the L3-vs-cores split of Figure 10 (both as MiB-per-core
 ratios and as CAT way counts), and the L4 size/latency grid of
 Figures 13–14 — yielding several thousand deduplicated candidates in a
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from repro.core.optimizer import DesignPoint
 from repro.errors import ConfigurationError
 
 #: Figure 10's L3-per-core sweep, 2.25 MiB down to 0.5 MiB.
@@ -27,65 +28,6 @@ L4_SIZES_MIB = (128, 256, 512, 1024, 2048)
 #: (hit, miss-penalty) latency pairs: the proposed overlapped-lookup
 #: design and the paper's pessimistic scenario.
 L4_LATENCY_PAIRS_NS = ((40.0, 0.0), (60.0, 5.0))
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One candidate hierarchy: cores + L3, optionally an L4.
-
-    ``l4_mib == 0`` means no L4; the latency fields are then inert.
-
-    Units: ``l3_mib`` and ``l4_mib`` are paper-scale MiB; ``l4_hit_ns``
-    and ``l4_miss_penalty_ns`` are nanoseconds.
-    """
-
-    cores: int
-    l3_mib: float
-    l4_mib: int = 0
-    l4_hit_ns: float = 40.0
-    l4_miss_penalty_ns: float = 0.0
-
-    def __post_init__(self) -> None:
-        """Validate every field; units per the class docstring.
-
-        Units: ``l3_mib``/``l4_mib`` are MiB; ``l4_hit_ns`` and
-        ``l4_miss_penalty_ns`` are nanoseconds.
-        """
-        if not isinstance(self.cores, int) or isinstance(self.cores, bool):
-            raise ConfigurationError(f"cores must be an int, got {self.cores!r}")
-        if self.cores < 1:
-            raise ConfigurationError(f"cores must be >= 1, got {self.cores}")
-        if self.l3_mib <= 0:
-            raise ConfigurationError(f"l3_mib must be positive, got {self.l3_mib}")
-        if self.l4_mib < 0:
-            raise ConfigurationError(f"l4_mib must be >= 0, got {self.l4_mib}")
-        if self.l4_hit_ns <= 0:
-            raise ConfigurationError("l4_hit_ns must be positive")
-        if self.l4_miss_penalty_ns < 0:
-            raise ConfigurationError("l4_miss_penalty_ns must be >= 0")
-
-    @property
-    def has_l4(self) -> bool:
-        """Whether this design includes an L4."""
-        return self.l4_mib > 0
-
-    @property
-    def sort_key(self) -> tuple:
-        """Canonical ordering tuple (the enumeration order of a space)."""
-        return (
-            self.cores,
-            self.l3_mib,
-            self.l4_mib,
-            self.l4_hit_ns,
-            self.l4_miss_penalty_ns,
-        )
-
-    def describe(self) -> str:
-        """Compact human-readable label, e.g. ``23c/23.0MiB+L4:1024MiB``."""
-        label = f"{self.cores}c/{self.l3_mib:g}MiB"
-        if self.has_l4:
-            label += f"+L4:{self.l4_mib}MiB@{self.l4_hit_ns:g}ns"
-        return label
 
 
 @dataclass(frozen=True)

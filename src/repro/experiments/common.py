@@ -16,6 +16,7 @@ from repro.workloads.profiles import WorkloadProfile, get_profile
 
 if TYPE_CHECKING:
     from repro.hw.adapters import DerivedModels
+    from repro.hw.spec import HardwareSpec
 
 
 class RunCache:
@@ -209,20 +210,22 @@ def _format_cell(value) -> str:
 # ----------------------------------------------------------------------
 
 
-def paper_models() -> DerivedModels:
+def paper_models(spec: HardwareSpec | None = None) -> DerivedModels:
     """Model views of the paper's §IV proposed design, derived from data.
 
     Returns the :class:`~repro.hw.adapters.DerivedModels` bundle of
     :func:`repro.hw.catalog.proposed` — area/power/latency/perf models
     plus the L4 configuration — which the figure experiments consume in
     place of hand-coded ``AreaModel()``/``PowerModel()``/... objects.
-    The differential battery in ``tests/experiments/test_spec_golden.py``
-    proves this path byte-identical to the hand-coded one.
+    ``spec`` substitutes a variant of that design (Figure 14's
+    scenarios).  The differential battery in
+    ``tests/experiments/test_spec_golden.py`` proves this path
+    byte-identical to the hand-coded one.
     """
     from repro.hw.adapters import derive_models
     from repro.hw.catalog import proposed
 
-    return derive_models(proposed())
+    return derive_models(spec if spec is not None else proposed())
 
 
 def platform_hierarchy(platform: str, preset: RunPreset) -> HierarchyConfig:

@@ -6,13 +6,13 @@ framing and reports the head of the Pareto frontier over
 (QPS, area, energy per query).  The paper's chosen designs fall out as
 special cases: the (23 cores, 23 MiB) candidate reproduces Figure 10's
 quantized optimum bit-for-bit, and the (23 cores, 23 MiB, 1 GiB L4)
-candidate reproduces Figure 14's baseline-scenario improvement — the
-``tests/dse`` battery pins both equalities.
+candidate is Figure 14's baseline scenario — both are scored by the same
+:class:`~repro.core.optimizer.HierarchyDesignEvaluator`.
 """
 
 from __future__ import annotations
 
-from repro.dse import DesignPoint, DesignSpaceExplorer
+from repro.dse import DesignPoint, DesignSpaceExplorer, ExplorationResult
 from repro.experiments.common import ExperimentResult, RunPreset
 
 EXPERIMENT_ID = "dse"
@@ -31,11 +31,12 @@ _TOP_ROWS = 12
 
 def run(preset: RunPreset | None = None) -> ExperimentResult:
     """Sweep, filter, and tabulate the head of the Pareto frontier."""
-    preset = preset or RunPreset.quick()
-    result = ExperimentResult(EXPERIMENT_ID, TITLE)
-    explorer = DesignSpaceExplorer(preset=preset)
-    exploration = explorer.explore()
+    return tabulate(DesignSpaceExplorer(preset=preset).explore())
 
+
+def tabulate(exploration: ExplorationResult) -> ExperimentResult:
+    """The frontier head and the paper cross-check notes of a sweep."""
+    result = ExperimentResult(EXPERIMENT_ID, TITLE)
     for design in exploration.frontier[:_TOP_ROWS]:
         point = design.point
         result.add(

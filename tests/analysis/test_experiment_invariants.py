@@ -1,5 +1,6 @@
 """Tests for RPR201/RPR202 (experiment invariants) over scaffolded trees."""
 
+import json
 from pathlib import Path
 
 from repro.analysis import lint_paths
@@ -85,6 +86,24 @@ class TestBenchmarkPresence:
 
     def test_benchmark_present(self, tmp_path):
         assert rules(scaffold(tmp_path), select=("RPR202",)) == []
+
+    def test_campaign_benchmark_metric_counts(self, tmp_path):
+        src = scaffold(tmp_path, with_benchmark=False)
+        ledger = {"per_layer": [{"name": "experiments.fig99.wall_s"}]}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(ledger))
+        assert rules(src, select=("RPR202",)) == []
+
+    def test_campaign_benchmark_must_name_the_experiment(self, tmp_path):
+        src = scaffold(tmp_path, with_benchmark=False)
+        ledger = {"per_layer": [{"name": "experiments.fig9.wall_s"}]}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(ledger))
+        report = lint_paths([src], select=("RPR202",))
+        assert [v.rule for v in report.violations] == ["RPR202"]
+
+    def test_unreadable_ledger_counts_as_absent(self, tmp_path):
+        src = scaffold(tmp_path, with_benchmark=False)
+        (tmp_path / "BENCHMARK.json").write_text("{not json")
+        assert rules(src, select=("RPR202",)) == ["RPR202"]
 
 
 class TestRealTree:

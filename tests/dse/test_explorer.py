@@ -1,32 +1,35 @@
 """The exploration engine: paper cross-checks and frontier acceptance.
 
 The expensive full sweep (~4k candidates at the quick preset) runs once,
-module-scoped; the differential tests then pin the engine to the figure
-experiments bit-for-bit:
+module-scoped; the tests then pin it:
 
+* the ``dse`` experiment's table and metrics, rendered from that sweep,
+  equal the stored golden recorded before Figure 14 and the explorer
+  shared one scorer;
 * the (23 cores, 23 MiB) candidate's QPS improvement equals Figure 10's
-  SMT-on quantized optimum exactly, and
-* the (23, 23, 1 GiB @ 40 ns) candidate equals Figure 14's
-  baseline-scenario combined improvement (and L4 hit rate) exactly,
+  SMT-on quantized optimum exactly;
 * the paper's chosen design sits on the Pareto frontier under the
   iso-area / iso-power constraints.
 """
 
+import pathlib
+
 import pytest
 
-from repro._units import MiB
-from repro.core.optimizer import SensitivityScenario
+from repro.core.optimizer import L3_GRID_MIB, HierarchyDesignEvaluator
 from repro.dse.explorer import (
     Constraints,
     DesignSpaceExplorer,
     ExplorationResult,
-    L3_GRID_MIB,
 )
 from repro.dse.pareto import dominates, pareto_frontier
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import ConfigurationError
-from repro.experiments import fig10, fig14
+from repro.experiments import dse, fig10
 from repro.experiments.common import RunPreset
+from repro.experiments.runner import _fallback_metrics
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 REBALANCE = DesignPoint(cores=23, l3_mib=23.0)
 CHOSEN = DesignPoint(
@@ -71,14 +74,14 @@ class TestConstraints:
 class TestGridQuantization:
     def test_paper_design_point_is_on_the_grid(self):
         assert 23.0 in L3_GRID_MIB
-        assert DesignSpaceExplorer.quantized_l3_mib(23.0) == 23.0
+        assert HierarchyDesignEvaluator.quantized_l3_mib(23.0) == 23.0
 
     def test_nearest_capacity_wins(self):
-        assert DesignSpaceExplorer.quantized_l3_mib(22.4) == 23.0
-        assert DesignSpaceExplorer.quantized_l3_mib(6.0) == 4.5
+        assert HierarchyDesignEvaluator.quantized_l3_mib(22.4) == 23.0
+        assert HierarchyDesignEvaluator.quantized_l3_mib(6.0) == 4.5
 
     def test_ties_break_toward_the_smaller_capacity(self):
-        assert DesignSpaceExplorer.quantized_l3_mib(20.5) == 18.0
+        assert HierarchyDesignEvaluator.quantized_l3_mib(20.5) == 18.0
 
 
 class TestFigureCrossChecks:
@@ -86,25 +89,27 @@ class TestFigureCrossChecks:
         groups = fig10.sweeps()
         optimum = max(groups["smt-on-quantized"], key=lambda p: p.improvement)
         assert optimum.cores == 23 and optimum.l3_mib == 23.0
-        design = explorer.evaluate(REBALANCE)
+        design = explorer.evaluator.evaluate(REBALANCE)
         assert design.qps_improvement == optimum.improvement
 
-    def test_chosen_point_equals_fig14_baseline_bitwise(self, explorer, preset):
-        evaluation = fig14.evaluator(preset).evaluate(
-            SensitivityScenario.baseline(), 1024 * MiB
-        )
-        design = explorer.evaluate(CHOSEN)
-        assert design.qps_improvement == evaluation.qps_improvement
-        assert design.l4_hit_rate == evaluation.l4_hit_rate
+    def test_dse_table_and_metrics_equal_the_stored_golden(
+        self, exploration, preset
+    ):
+        result = dse.tabulate(exploration)
+        _fallback_metrics(result, preset)
+        assert result.render() + "\n" == (GOLDEN / "dse.quick.txt").read_text()
+        assert result.metrics.to_json() == (
+            GOLDEN / "dse.quick.metrics.json"
+        ).read_text()
 
     def test_pessimistic_latencies_cost_throughput(self, explorer):
-        pessimistic = explorer.evaluate(
+        pessimistic = explorer.evaluator.evaluate(
             DesignPoint(
                 cores=23, l3_mib=23.0, l4_mib=1024, l4_hit_ns=60.0,
                 l4_miss_penalty_ns=5.0,
             )
         )
-        chosen = explorer.evaluate(CHOSEN)
+        chosen = explorer.evaluator.evaluate(CHOSEN)
         assert pessimistic.qps < chosen.qps
         # ... but the L4 hit rate is latency-independent (shared memo).
         assert pessimistic.l4_hit_rate == chosen.l4_hit_rate
@@ -143,6 +148,8 @@ class TestExploration:
         best = exploration.best_qps()
         assert best in exploration.feasible
         assert all(d.qps <= best.qps for d in exploration.feasible)
+        assert best.qps_improvement > 0.20  # the search beats the baseline
+        assert best.area_mib <= 117.0  # within PLT1's iso-area budget
 
     def test_best_qps_raises_when_nothing_is_feasible(self, exploration):
         starved = ExplorationResult(

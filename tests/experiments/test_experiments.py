@@ -1,6 +1,8 @@
 """Integration tests: every experiment runs and satisfies the paper's
 shape claims at the quick preset."""
 
+import pathlib
+
 import pytest
 
 from repro._units import MiB
@@ -28,7 +30,9 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.common import ExperimentResult, composed_run
+from repro.experiments.runner import _fallback_metrics
 
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +192,7 @@ class TestFig8:
 class TestFig9:
     def test_iso_area_comparison(self):
         result = fig9.run()
+        assert len(result.rows) == 150  # 15 core counts x 10 CAT settings
         rows = {(r["cores"], r["l3_mib"]): r["qps"] for r in result.rows}
         assert rows[(11, 13.5)] > rows[(9, 22.5)]
 
@@ -210,6 +215,8 @@ class TestFig11:
         for row in result.rows:
             assert row["cores_gain_pct"] >= 0
             assert row["cache_loss_pct"] <= 0
+        nets = {r["l3_mib_per_core"]: r["net_pct"] for r in result.rows}
+        assert max(nets, key=nets.get) == 1.0  # the paper's c = 1 MiB/core
 
 
 class TestFig12:
@@ -242,6 +249,13 @@ class TestFig14:
         assert rows[("pessimistic", 1024)]["combined_pct"] < base["combined_pct"]
         assert rows[("pessimistic", 1024)]["combined_pct"] > 15
         assert rows[("future", 1024)]["combined_pct"] >= base["combined_pct"] - 3
+        # Byte-equal to the table and metrics recorded before Figure 14
+        # and the design-space explorer shared one scorer.
+        _fallback_metrics(result, preset)
+        assert result.render() + "\n" == (GOLDEN / "fig14.test.txt").read_text()
+        assert result.metrics.to_json() == (
+            GOLDEN / "fig14.test.metrics.json"
+        ).read_text()
 
 
 class TestPower:

@@ -9,8 +9,14 @@ factory calls — by monkeypatching the two seams in
 the ``--metrics-out`` JSON document of every affected experiment.  Same
 harness style as ``TestFusedByteEquality`` in ``test_engine_golden.py``:
 module-scoped runs, ``jobs=1`` so the patches apply in-process.
+
+Figure 14 asks the seam for three specs (the proposed design and its
+associative and future variants); the stand-in answers each by name with
+the literal objects the scenarios used to carry.  The spec-derived
+Figure 14 is also compared with its stored golden table.
 """
 
+import pathlib
 from types import SimpleNamespace
 
 import pytest
@@ -22,26 +28,38 @@ from repro.core.l4cache import L4Config
 from repro.core.perf_model import MemoryLatencies, SearchPerfModel
 from repro.core.power import PowerModel
 from repro.errors import ConfigurationError
-from repro.experiments import common, runner
+from repro.experiments import common, fig14, runner
 from repro.experiments.common import RunPreset
 from repro.experiments.parallel import run_report
 
 #: Every experiment that consumes spec-derived models or hierarchies.
-_IDS = ["fig9", "fig10", "fig13", "fig14", "power"]
+_IDS = ["fig9", "fig10", "fig11", "fig13", "fig14", "power"]
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 
-def _hand_coded_models():
-    """The literal objects the experiments constructed before PR 10."""
+def _hand_coded_models(spec=None):
+    """The literal objects the experiments built before the spec catalog.
+
+    Figure 14's scenario variants map, by spec name, to the literal
+    latencies and L4 associativity its scenarios carried.
+    """
+    name = "PLT1-proposed" if spec is None else spec.name
+    latencies, associativity = {
+        "PLT1-proposed": (MemoryLatencies(), "direct"),
+        "PLT1-proposed-associative": (MemoryLatencies(), "full"),
+        "PLT1-proposed-future": (MemoryLatencies(mem_ns=110.0 * 1.10), "direct"),
+    }[name]
     return SimpleNamespace(
         area=AreaModel(),
         power=PowerModel(),
-        latencies=MemoryLatencies(),
-        perf=SearchPerfModel(),
-        l4_config=lambda capacity_bytes=None: (
-            L4Config(capacity=capacity_bytes)
-            if capacity_bytes is not None
-            else L4Config()
+        latencies=latencies,
+        perf=SearchPerfModel(latencies=latencies),
+        l4_config=lambda capacity_bytes=None: L4Config(
+            capacity=capacity_bytes if capacity_bytes is not None else 1024 * MiB,
+            associativity=associativity,
         ),
+        l4_static_watts=lambda l4_mib: 6.0 * l4_mib / 1000.0,
     )
 
 
@@ -85,6 +103,13 @@ class TestSpecByteEquality:
                 spec.experiment_id
             )
 
+    def test_fig14_equals_stored_golden(self, spec_report):
+        (fig14,) = [r for r in spec_report.results if r.experiment_id == "fig14"]
+        assert fig14.render() + "\n" == (GOLDEN / "fig14.quick.txt").read_text()
+        assert fig14.metrics.to_json() == (
+            GOLDEN / "fig14.quick.metrics.json"
+        ).read_text()
+
     def test_metrics_document_identical(
         self, spec_report, hand_coded_report, tmp_path
     ):
@@ -108,6 +133,17 @@ class TestSeamSanity:
         assert models.latencies == hand.latencies
         assert models.perf == hand.perf
         assert models.l4_config(64 * MiB) == hand.l4_config(64 * MiB)
+        assert models.l4_config() == hand.l4_config()
+        assert models.l4_static_watts(1024.0) == hand.l4_static_watts(1024.0)
+
+    def test_fig14_variants_match_hand_coded_values(self):
+        for scenario in ("associative", "future"):
+            spec = fig14.scenario_spec(scenario)
+            models = common.paper_models(spec)
+            hand = _hand_coded_models(spec)
+            assert models.latencies == hand.latencies, scenario
+            assert models.perf == hand.perf, scenario
+            assert models.l4_config(64 * MiB) == hand.l4_config(64 * MiB), scenario
 
     def test_platform_hierarchy_matches_hand_coded_factories(self):
         preset = RunPreset.quick()

@@ -105,9 +105,9 @@ def check(report_path: str) -> int:
     return 0
 
 
-def _executable_lines(path: pathlib.Path) -> set[int]:
+def _executable_lines(source: bytes, path: pathlib.Path) -> set[int]:
     """All line numbers that carry bytecode, via the code-object tree."""
-    code = compile(path.read_text(), str(path), "exec")
+    code = compile(source, str(path), "exec")
     lines: set[int] = set()
     stack = [code]
     while stack:
@@ -119,6 +119,15 @@ def _executable_lines(path: pathlib.Path) -> set[int]:
             if isinstance(const, types.CodeType):
                 stack.append(const)
     return lines
+
+
+def _sources(targets: dict[str, pathlib.Path]) -> dict[pathlib.Path, bytes]:
+    """The bytes of every measured file, keyed by path."""
+    return {
+        path: path.read_bytes()
+        for target in targets.values()
+        for path in sorted(target.rglob("*.py"))
+    }
 
 
 def measure() -> int:
@@ -149,6 +158,10 @@ def measure() -> int:
         return None
 
     test_dirs = sorted({ratchet["tests"] for ratchet in packages.values()})
+    before = _sources(targets)
+    lines_of = {
+        path: _executable_lines(source, path) for path, source in before.items()
+    }
     threading.settrace(global_tracer)
     sys.settrace(global_tracer)
     try:
@@ -160,11 +173,23 @@ def measure() -> int:
         print(f"pytest failed with exit code {exit_code}; not measuring")
         return int(exit_code)
 
+    after = _sources(targets)
+    changed = sorted(
+        path
+        for path in before.keys() | after.keys()
+        if before.get(path) != after.get(path)
+    )
+    if changed:
+        print("source files changed during the measurement; not measuring:")
+        for path in changed:
+            print(f"  {path.relative_to(REPO)}")
+        return 1
+
     for package, target in sorted(targets.items()):
         print(f"\nstdlib-tracer line coverage for {package} (approximate):")
         total_hit = total_lines = 0
         for path in sorted(target.rglob("*.py")):
-            lines = _executable_lines(path)
+            lines = lines_of[path]
             hit = executed.get(str(path), set()) & lines
             total_hit += len(hit)
             total_lines += len(lines)
